@@ -79,6 +79,33 @@ GOLDEN_PINS = {
 }
 
 
+#: The matrix-valued ``L0Sampler`` update (one sketch column per input
+#: column — the path every engine and streaming site runs), keyed by
+#: ``(mode, n)`` and fed by :func:`golden_vector_stream`.  Generated by the
+#: expanded-scatter update before the nested-level suffix-sum rewrite.  Do
+#: not edit by hand.
+MATRIX_SAMPLER_PINS = {
+    ("dense", 2**10): {
+        "state_sha256": "7278b63a8e7e4130ed301cd6b6b7f6f5cec32ec7b760c103ad25f00c9f633c49",
+        "wire_sha256": "a3e65969dc05a17eb62b37ce2463ff5f9a6bc525d5a278938deeea1529ad4018",
+        "dtype": "int64",
+        "shape": (144, 6),
+    },
+    ("hash", 2**10): {
+        "state_sha256": "8561ec9d783db974b69c807bbca1af8ab2edbfa0e53a9030fc26d922ed8d0c4f",
+        "wire_sha256": "d73ec3b99233998392f998a890cbe30464ceedbcefb61565c4231d244c2d4f60",
+        "dtype": "int64",
+        "shape": (144, 6),
+    },
+    ("hash", 2**20): {
+        "state_sha256": "0d543821a784b9f6dbdffde04b07db4413c9400206cac0fba3d4bf9e66820cd2",
+        "wire_sha256": "5a7fe9d134ff1c1acf59bfe1792aa21bad090ed243e4891d3b8e38766dab83bb",
+        "dtype": "int64",
+        "shape": (264, 6),
+    },
+}
+
+
 def golden_stream(n: int, batches: int = 3, batch_size: int = 257):
     """The fixed random batched turnstile stream the pins are taken over."""
     rng = np.random.default_rng(GOLDEN_SEED)
@@ -121,6 +148,13 @@ def run_stream(family: str, n: int, mode: str = "dense"):
     return sketch
 
 
+def run_matrix_sampler(mode: str, n: int):
+    sketch = build_template("sampler", n, mode).empty_copy()
+    for indices, values in golden_vector_stream(n):
+        sketch.update_many(indices, values)
+    return sketch
+
+
 def pin_of(sketch) -> dict:
     state = sketch.state_array()
     return {
@@ -137,6 +171,10 @@ class TestGoldenPins:
     @pytest.mark.parametrize("family, n", sorted(GOLDEN_PINS, key=str))
     def test_state_and_wire_bytes_match_dense_era_pins(self, family, n):
         assert pin_of(run_stream(family, n)) == GOLDEN_PINS[(family, n)]
+
+    @pytest.mark.parametrize("mode, n", sorted(MATRIX_SAMPLER_PINS, key=str))
+    def test_matrix_sampler_state_and_wire_bytes_match_pins(self, mode, n):
+        assert pin_of(run_matrix_sampler(mode, n)) == MATRIX_SAMPLER_PINS[(mode, n)]
 
 
 # (family, supports update(), hash mode available)
@@ -288,4 +326,8 @@ if __name__ == "__main__":  # pragma: no cover - pin regeneration helper
     print("GOLDEN_PINS = {")
     for (family, n) in sorted(GOLDEN_PINS, key=str):
         print(f"    ({family!r}, {n}): {pin_of(run_stream(family, n))!r},")
+    print("}")
+    print("MATRIX_SAMPLER_PINS = {")
+    for mode, n in [("dense", 2**10), ("hash", 2**10), ("hash", 2**20)]:
+        print(f"    ({mode!r}, {n}): {pin_of(run_matrix_sampler(mode, n))!r},")
     print("}")
