@@ -33,7 +33,9 @@ history is a committed, diffable artifact instead of folklore:
   paid ``O(universe)`` construction here).  Where feasible, a faithful
   *legacy* (pre-kernel, dense-table) reimplementation runs the same work
   and the speedup is recorded.
-* **steady state** — repeated ``update_many`` after warmup (rows/sec).
+* **steady state** — repeated ``update_many`` after warmup (rows/sec),
+  including the matrix-valued ``L0Sampler`` updates (512 rows of 64 or 128
+  columns) that engine and streaming sites run.
 * **construction** — constructor latency and resident sketch memory as the
   universe grows to ``2^30`` (the huge-universe capability: time and memory
   must be independent of ``n``).
@@ -103,6 +105,16 @@ WIDTH = 256
 AMS_ROWS = 64
 L0_BUCKETS = 64
 SAMPLER_REPS = 8
+
+#: Matrix-valued sampler legs: one site's batch of matrix rows, as the
+#: streaming monitor (hash mode) and the one-shot ``l0_sample`` (dense mode)
+#: feed it.  Small enough to run unchanged in smoke mode.
+MATRIX_BATCH = 512
+#: (mode, universe, value columns) per leg.
+MATRIX_SAMPLER_CASES = {
+    "sampler_hash_matrix": ("hash", UNIVERSE, 64),
+    "sampler_dense_matrix": ("dense", 1 << 12, 128),
+}
 
 
 def timed(fn, repeats: int = 1) -> float:
@@ -313,6 +325,28 @@ def bench_steady_state(metrics: dict) -> None:
             "config": {"n": UNIVERSE, "batch": BATCH, "rows": rows_of(name)},
             "seconds": seconds,
             "rows_per_sec": BATCH / seconds,
+        }
+
+    # Matrix-valued updates (one sketch column per input column): the
+    # sampler path every engine site and streaming site runs.
+    rng = np.random.default_rng(98)
+    for name, (mode, n, columns) in MATRIX_SAMPLER_CASES.items():
+        sketch = L0Sampler(n, np.random.default_rng(2), repetitions=SAMPLER_REPS, mode=mode)
+        batch_indices = rng.integers(0, n, size=MATRIX_BATCH).astype(np.int64)
+        batch_values = rng.integers(-8, 9, size=(MATRIX_BATCH, columns)).astype(np.int64)
+        sketch.update_many(batch_indices, batch_values)  # warm
+        seconds = timed(
+            lambda s=sketch: s.update_many(batch_indices, batch_values), REPEATS
+        )
+        metrics[f"steady_state/{name}"] = {
+            "config": {
+                "n": n,
+                "batch": MATRIX_BATCH,
+                "columns": columns,
+                "rows": rows_of(name),
+            },
+            "seconds": seconds,
+            "rows_per_sec": MATRIX_BATCH / seconds,
         }
 
 
@@ -795,6 +829,7 @@ def main() -> int:
             "mode": mode,
             "numpy": np.__version__,
             "python": platform.python_version(),
+            "cpu_count": os.cpu_count() or 1,
             "metrics": run_metrics,
             "speedups": run_speedups,
         }
@@ -869,7 +904,6 @@ def main() -> int:
             from repro.sketch._native import current_backend
 
             runtime_record = stamp(runtime_metrics, runtime_speedups)
-            runtime_record["cpu_count"] = os.cpu_count() or 1
             runtime_record["default_workers"] = _default_workers()
             runtime_record["kernel_backend"] = current_backend()
             runtime_history.setdefault("runs", []).append(runtime_record)
@@ -877,13 +911,11 @@ def main() -> int:
             print(f"appended {mode} run to {args.runtime_output}")
         if args.service:
             service_record = stamp(service_metrics, service_speedups)
-            service_record["cpu_count"] = os.cpu_count() or 1
             service_history.setdefault("runs", []).append(service_record)
             args.service_output.write_text(json.dumps(service_history, indent=1) + "\n")
             print(f"appended {mode} run to {args.service_output}")
         if args.tree:
             tree_record = stamp(tree_metrics, tree_gains)
-            tree_record["cpu_count"] = os.cpu_count() or 1
             tree_history.setdefault("runs", []).append(tree_record)
             args.tree_output.write_text(json.dumps(tree_history, indent=1) + "\n")
             print(f"appended {mode} run to {args.tree_output}")

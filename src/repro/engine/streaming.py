@@ -1211,8 +1211,19 @@ class StreamingSession(EstimatorBase):
 
     @property
     def total_upload_bytes(self) -> int:
-        """Bytes shipped upstream so far (the network meters 8 bits each)."""
-        return self.network.total_bits // 8
+        """Bytes the sites shipped upstream so far (8 metered bits each).
+
+        Counts the sites' own uploads only, late folds included: on a tree
+        session the aggregators' relays of merged bundles are metered on
+        the network too, but they re-ship bytes the sites already sent.
+        """
+        return (
+            sum(
+                self.network.link(site.name).bits_sent_by(site.name)
+                for site in self.sites
+            )
+            // 8
+        )
 
     # ----------------------------------------------------------- live queries
     def _robust_sketch(self, key: str) -> MergeableSketch | None:

@@ -19,8 +19,14 @@ times makes failure unlikely, and the returned coordinate is uniform over the
 support (every non-zero coordinate is equally likely to be the unique
 survivor).
 
-Like the ``l_0`` sketch, the measurement matrix is never materialized:
-updates run through the fused level-expansion scatter kernels, recovery is
+Like the ``l_0`` sketch, the measurement matrix is never materialized.
+Updates use the nesting of the levels: a coordinate alive at ``c`` levels
+touches levels ``0..c-1``, so level ``g`` of a repetition is the sum, over
+counts greater than ``g``, of the batch's per-count group sums — one
+group-sum and one reverse cumulative sum per repetition
+(:func:`~repro.sketch.kernels.nested_level_sums`).  That order of int64
+additions differs from the historical matmul's, but int64 addition wraps
+mod ``2^64`` and is associative, so the bytes are the same.  Recovery is
 one vectorized scan over all ``(repetition, level)`` cells, and
 ``mode="hash"`` derives all per-coordinate randomness from lazy hashes so
 the universe can be ``2^30`` and beyond.  Measurements accumulate in
@@ -40,9 +46,8 @@ import numpy as np
 from repro.sketch.hashing import PRIME_61
 from repro.sketch.kernels import (
     StackedKWiseHash,
-    bincount_rows,
     count_alive_levels,
-    expand_levels,
+    nested_level_sums,
 )
 from repro.sketch.mergeable import LinearStateMixin
 
@@ -169,51 +174,31 @@ class L0Sampler(LinearStateMixin):
             )
         keys = np.arange(self.n, dtype=np.int64)
         counts, coeffs = self._batch_randomness(keys)
-        matrix = np.zeros((self.num_rows, self.n), dtype=np.int64)
-        for rep in range(self.repetitions):
-            take, level = expand_levels(counts[rep])
-            base = (rep * self.levels + level) * self.rows_per_level
-            matrix[base + 0, keys[take]] = 1
-            matrix[base + 1, keys[take]] = keys[take] + 1  # +1 keeps s1 != 0 for j = 0
-            matrix[base + 2, keys[take]] = coeffs[rep, take]
-        return matrix
+        # (reps, 3, n) measurement weights; +1 keeps s1 != 0 for j = 0.
+        weights = np.stack(
+            [np.ones_like(coeffs), np.broadcast_to(keys + 1, coeffs.shape), coeffs],
+            axis=1,
+        )
+        alive = np.arange(self.levels)[None, :, None] < counts[:, None, :]
+        matrix = np.where(alive[:, :, None, :], weights[:, None, :, :], 0)
+        return matrix.reshape(self.num_rows, self.n)
 
     # ------------------------------------------------------------------ api
     def _contribution(self, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Fused scatter of one batch: ``T[:, indices] @ values`` without ``T``."""
+        """``T[:, indices] @ values`` without ``T``, by nested-level suffix sums."""
         counts, coeffs = self._batch_randomness(indices)
-        exact = bool(np.issubdtype(values.dtype, np.integer))
-        rows_parts: list[np.ndarray] = []
-        weights_parts: list[np.ndarray] = []
-        shifted = indices + 1  # +1 keeps s1 != 0 for coordinate 0
+        dtype = np.int64 if np.issubdtype(values.dtype, np.integer) else np.float64
+        values = values.astype(dtype, copy=False)
+        per_entry = (slice(None),) + (None,) * (values.ndim - 1)
+        shifted = (indices + 1)[per_entry] * values  # +1 keeps s1 != 0 for j = 0
+        trailing = values.shape[1:]
+        out = np.empty(
+            (self.repetitions, self.levels, self.rows_per_level) + trailing, dtype=dtype
+        )
         for rep in range(self.repetitions):
-            take, level = expand_levels(counts[rep])
-            base = (rep * self.levels + level) * self.rows_per_level
-            taken = values[take]
-            if values.ndim == 1:
-                rows_parts += [base, base + 1, base + 2]
-                weights_parts += [taken, shifted[take] * taken, coeffs[rep, take] * taken]
-            else:
-                rows_parts += [base, base + 1, base + 2]
-                weights_parts += [
-                    taken,
-                    shifted[take, None] * taken,
-                    coeffs[rep, take, None] * taken,
-                ]
-        rows = np.concatenate(rows_parts) if rows_parts else np.empty(0, dtype=np.int64)
-        if values.ndim == 1:
-            weights = (
-                np.concatenate(weights_parts)
-                if weights_parts
-                else np.empty(0, dtype=values.dtype)
-            )
-        else:
-            weights = (
-                np.concatenate(weights_parts, axis=0)
-                if weights_parts
-                else np.empty((0, values.shape[1]), dtype=values.dtype)
-            )
-        return bincount_rows(rows, weights, self.num_rows, exact_int=exact)
+            weights = np.stack([values, shifted, coeffs[rep][per_entry] * values], axis=1)
+            out[rep] = nested_level_sums(counts[rep], weights, self.levels)
+        return out.reshape((self.num_rows,) + trailing)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Compute the sampler sketch ``T x`` (integer inputs expected)."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.comm.conditions import LinkModel, NetworkConditions
 from repro.multiparty import ClusterEstimator
 
 
@@ -221,6 +222,29 @@ class TestRefreshPolicies:
         # All traffic is upstream: the direction never flips, so the whole
         # stream occupies one aggregate round.
         assert session.network.rounds == 1
+
+    @pytest.mark.parametrize("tree", [None, 2, 8])
+    def test_upload_total_counts_site_uploads_only(self, binary_pair, tree):
+        """Regression: tree relays re-ship merged bundles; they are not uploads.
+
+        The last site's link misses the deadline, so its uploads queue and
+        fold at the next boundary — the total must include those folds.
+        """
+        a, b = binary_pair
+        k = 8
+        overrides = {f"site-{k - 1}": LinkModel(latency=2.0)}
+        conditions = NetworkConditions(
+            LinkModel(latency=0.01), overrides=overrides, deadline=0.5
+        )
+        batch = ClusterEstimator.from_matrix(a, b, k, seed=43)
+        session = batch.stream(tree=tree, conditions=conditions)
+        ingest_in_chunks(session, batch.shards, np.random.default_rng(6))
+        session.sync()
+        assert session.history[-1].late == []  # every late upload folded
+        assert any(report.late_merged for report in session.history)
+        cumulative = session.history[-1].cumulative_bytes
+        assert cumulative > 0
+        assert session.total_upload_bytes == cumulative
 
     def test_live_estimates_reflect_only_shipped_deltas(self, binary_pair):
         a, b = binary_pair

@@ -3,7 +3,8 @@
 The kernels promise three things: lazy stacked hashing is *bit-identical*
 to the per-row ``KWiseHash`` members it replaced, fused scatters equal
 their naive per-row references, and the level-expansion machinery inverts
-the layered-subsampling membership exactly.  The vectorized ``L0Sampler``
+the layered-subsampling membership exactly (the nested-level suffix sums
+equal the expanded scatter byte for byte).  The vectorized ``L0Sampler``
 recovery and the reshape-based AMS estimators are checked against
 faithful reimplementations of the historical Python loops.
 """
@@ -12,6 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.sketch import AmsSketch, L0Sampler
 from repro.sketch.hashing import KWiseHash, PRIME_61
@@ -21,6 +25,7 @@ from repro.sketch.kernels import (
     bincount_rows,
     count_alive_levels,
     expand_levels,
+    nested_level_sums,
     scatter_add_scalar,
     scatter_add_vector,
 )
@@ -180,6 +185,85 @@ class TestLevelExpansion:
     def test_expand_levels_empty(self):
         take, level = expand_levels(np.empty(0, dtype=np.int64))
         assert take.size == 0 and level.size == 0
+
+
+def expanded_scatter(counts: np.ndarray, weights: np.ndarray, levels: int) -> np.ndarray:
+    """Reference: every (position, level) pair scattered in batch order."""
+    take, level = expand_levels(counts)
+    out = np.zeros((levels,) + weights.shape[1:], dtype=weights.dtype)
+    np.add.at(out, level, weights[take])
+    return out
+
+
+@st.composite
+def nested_batches(draw):
+    """(counts, weights, levels): 1-D or 2-D int64 weights over the full range.
+
+    Full-range int64 weights make partial sums wrap past ``2^63``, so the
+    byte-identity below exercises the wraparound argument, not just small
+    sums that no summation order could disagree on.
+    """
+    levels = draw(st.integers(min_value=1, max_value=12))
+    batch = draw(st.integers(min_value=0, max_value=40))
+    counts = draw(
+        hnp.arrays(np.int64, batch, elements=st.integers(min_value=0, max_value=levels))
+    )
+    trailing = draw(st.sampled_from([(), (1,), (3,)]))
+    weights = draw(
+        hnp.arrays(
+            np.int64,
+            (batch,) + trailing,
+            elements=st.integers(min_value=-(2**63), max_value=2**63 - 1),
+        )
+    )
+    return counts, weights, levels
+
+
+class TestNestedLevelSums:
+    """The suffix-sum kernel equals the expanded scatter byte for byte."""
+
+    @given(case=nested_batches())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_expanded_scatter(self, case):
+        counts, weights, levels = case
+        got = nested_level_sums(counts, weights, levels)
+        want = expanded_scatter(counts, weights, levels)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("trailing", [(), (4,)])
+    def test_empty_batch_is_all_zero(self, trailing):
+        got = nested_level_sums(
+            np.empty(0, dtype=np.int64), np.empty((0,) + trailing, dtype=np.int64), 5
+        )
+        assert got.shape == (5,) + trailing and not got.any()
+
+    def test_batch_of_one_fills_exactly_its_levels(self):
+        got = nested_level_sums(np.array([3]), np.array([[7, -2]]), 5)
+        np.testing.assert_array_equal(got, [[7, -2]] * 3 + [[0, 0]] * 2)
+
+    def test_count_zero_touches_nothing_and_full_count_touches_every_level(self):
+        counts = np.array([0, 4, 0])
+        got = nested_level_sums(counts, np.array([5, 9, 11]), 4)
+        np.testing.assert_array_equal(got, [9, 9, 9, 9])
+
+    def test_float_weights_agree_with_the_scatter_up_to_rounding(self):
+        """Floats are summed in another order, so only to float64 rounding."""
+        rng = np.random.default_rng(12)
+        counts = rng.integers(0, 9, size=300)
+        weights = rng.normal(size=(300, 4))
+        got = nested_level_sums(counts, weights, 8)
+        np.testing.assert_allclose(
+            got, expanded_scatter(counts, weights, 8), rtol=1e-12, atol=1e-12
+        )
+
+    def test_wrapping_partial_sums_match_the_scatter(self):
+        """Group sums overflow mid-way; mod-2^64 addition still agrees."""
+        top = np.int64(2**63 - 1)
+        counts = np.array([2, 1, 2, 2, 1])
+        weights = np.array([top, top, top, -top, 1], dtype=np.int64)
+        got = nested_level_sums(counts, weights, 2)
+        assert got.tobytes() == expanded_scatter(counts, weights, 2).tobytes()
 
 
 def reference_sample(sampler: L0Sampler, sketched: np.ndarray):
