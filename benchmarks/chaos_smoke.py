@@ -45,7 +45,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.comm.conditions import LinkModel, NetworkConditions  # noqa: E402
 from repro.engine.runtime import QuorumPolicy, Runtime  # noqa: E402
-from repro.multiparty import ClusterEstimator  # noqa: E402
+from repro import ClusterEstimator  # noqa: E402
 from repro.service.client import connect  # noqa: E402
 from repro.service.messages import ServiceError  # noqa: E402
 from repro.service.metrics import parse_metrics_text  # noqa: E402

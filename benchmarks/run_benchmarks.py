@@ -412,7 +412,7 @@ def bench_runtime_executors(metrics: dict) -> None:
     ``cpu_count`` field.
     """
     from repro.engine import Runtime, StreamingSession
-    from repro.multiparty import ClusterEstimator
+    from repro import ClusterEstimator
 
     k = 4
     rows = 512 if SMOKE else 4096
@@ -499,7 +499,7 @@ def bench_service(metrics: dict) -> None:
     * **stream ingest** — a full streamed epoch (ingest every site + sync),
       deltas travelling as real wire bytes.
     """
-    from repro.multiparty import ClusterEstimator
+    from repro import ClusterEstimator
     from repro.service.client import local_cluster
 
     k = 4

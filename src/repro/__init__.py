@@ -6,8 +6,11 @@ Products with Applications" (Woodruff & Zhang, PODS 2018).
 Two parties, Alice holding a matrix ``A`` and Bob holding a matrix ``B``,
 estimate statistics of ``C = A B`` — ``l_p`` norms, the maximum entry, heavy
 hitters, and support samples — while exchanging as few bits as possible.
-Every protocol runs on an instrumented in-process channel so the
-communication cost (bits and rounds) is measured exactly.
+Every protocol runs on an instrumented in-process network so the
+communication cost (bits and rounds) is measured exactly.  The same
+protocol bodies run in the k-site coordinator model (``ClusterEstimator``):
+the rows of ``A`` sharded over k sites around a coordinator holding ``B``;
+the two-party model is its one-site case.
 
 Quick start
 -----------
@@ -24,12 +27,16 @@ Quick start
 Package layout
 --------------
 ``repro.core``
-    The paper's protocols (Algorithms 1-4, Remarks 2-3, Theorems 3.2, 4.8, 5.3).
+    The paper's protocols (Algorithms 1-4, Remarks 2-3, Theorems 3.2, 4.8, 5.3)
+    as two-party facades, and the ``MatrixProductEstimator`` entry point.
+``repro.engine``
+    The one protocol driver (``StarProtocol``): every protocol body written
+    once for k sites around a coordinator, the ``ClusterEstimator`` facade,
+    streaming sessions, runtimes and aggregation trees.
 ``repro.comm``
-    The metered two-party channel the protocols run on.
-``repro.multiparty``
-    The k-party coordinator runtime: a star-topology metered network, k-site
-    versions of the core protocols, and the ``ClusterEstimator`` facade.
+    The metered star network (and tree overlay) the protocols run on.
+``repro.service``
+    The engine over real sockets: coordinator server, site agents, clients.
 ``repro.sketch``
     Linear sketches (AMS, p-stable, l0, l0-sampler, CountSketch, Count-Min).
 ``repro.matrices``
@@ -58,9 +65,9 @@ from repro.core.linf_binary import KappaApproxLinfProtocol, TwoPlusEpsilonLinfPr
 from repro.core.linf_general import GeneralMatrixLinfProtocol
 from repro.core.lp_norm import LpNormProtocol
 from repro.core.result import HeavyHitterOutput, SampleOutput
+from repro.engine.api import ClusterEstimator
 from repro.engine.base import ClusterCostReport
 from repro.engine.streaming import StreamingSession
-from repro.multiparty.estimator import ClusterEstimator
 
 
 def _load_version() -> str:

@@ -20,26 +20,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.comm import bitcost
-from repro.comm.party import Party
-from repro.comm.protocol import Protocol
+from repro.core.facade import EngineBackedProtocol, TwoPartyStarProtocol
 from repro.core.result import HeavyHitterOutput
+from repro.engine.topology import Coordinator, Site
 from repro.sketch.kernels import StackedKWiseHash
 
 
-class CompressedMatMulHeavyHittersProtocol(Protocol):
-    """One-round CountSketch-of-``A B`` heavy hitters (the [32]-style baseline).
-
-    Parameters
-    ----------
-    phi, epsilon:
-        Heaviness threshold and slack with respect to ``||C||_1`` (this
-        baseline targets ``p = 1``).
-    width:
-        CountSketch width per repetition; defaults to ``ceil(8/epsilon)``
-        buckets which bounds the per-entry error by ``eps ||C||_1 / 8``.
-    depth:
-        Number of independent repetitions (median of estimates).
-    """
+class StarCompressedMatMulHeavyHittersProtocol(TwoPartyStarProtocol):
+    """Engine body of :class:`CompressedMatMulHeavyHittersProtocol` (two-party only)."""
 
     name = "countsketch-compressed-matmul"
 
@@ -60,7 +48,7 @@ class CompressedMatMulHeavyHittersProtocol(Protocol):
         self.width = int(width) if width is not None else max(8, int(np.ceil(8.0 / epsilon)))
         self.depth = int(depth)
 
-    def _execute(self, alice: Party, bob: Party):
+    def _execute_two_party(self, alice: Site, bob: Coordinator):
         a = np.asarray(alice.data, dtype=float)
         b = np.asarray(bob.data, dtype=float)
         if a.shape[1] != b.shape[0]:
@@ -96,7 +84,6 @@ class CompressedMatMulHeavyHittersProtocol(Protocol):
             )
             alice_sketches[rep] = binned.reshape(self.width, n_items).T
         alice.send(
-            bob,
             alice_sketches,
             label="per-item-countsketches",
             bits=bitcost.bits_for_matrix(alice_sketches),
@@ -120,7 +107,6 @@ class CompressedMatMulHeavyHittersProtocol(Protocol):
         # construction cost being dominated anyway, so charge them explicitly.
         column_sums = a.sum(axis=0)
         alice.send(
-            bob,
             column_sums,
             label="column-sums",
             bits=n_items * bitcost.bits_for_int(int(max(column_sums.max(), 1))),
@@ -143,3 +129,22 @@ class CompressedMatMulHeavyHittersProtocol(Protocol):
             estimates[(int(i), int(j))] = float(medians[i, j])
         output = HeavyHitterOutput(pairs=pairs, estimates=estimates)
         return output, {"total_l1": total_l1, "width": self.width, "depth": self.depth}
+
+
+class CompressedMatMulHeavyHittersProtocol(EngineBackedProtocol):
+    """One-round CountSketch-of-``A B`` heavy hitters (the [32]-style baseline).
+
+    Parameters
+    ----------
+    phi, epsilon:
+        Heaviness threshold and slack with respect to ``||C||_1`` (this
+        baseline targets ``p = 1``).
+    width:
+        CountSketch width per repetition; defaults to ``ceil(8/epsilon)``
+        buckets which bounds the per-entry error by ``eps ||C||_1 / 8``.
+    depth:
+        Number of independent repetitions (median of estimates).
+    """
+
+    name = "countsketch-compressed-matmul"
+    engine_protocol = StarCompressedMatMulHeavyHittersProtocol

@@ -14,20 +14,13 @@ from typing import Callable
 import numpy as np
 
 from repro.comm import bitcost
-from repro.comm.party import Party
-from repro.comm.protocol import Protocol
+from repro.core.facade import EngineBackedProtocol, TwoPartyStarProtocol
+from repro.engine.topology import Coordinator, Site
 from repro.matrices import stats
 
 
-class NaiveExactProtocol(Protocol):
-    """Alice ships ``A``; Bob computes any requested statistic exactly.
-
-    Parameters
-    ----------
-    statistic:
-        Function mapping the product ``C`` to the desired value, e.g.
-        ``lambda c: repro.matrices.stats.exact_lp_pp(c, 0)``.
-    """
+class StarNaiveExactProtocol(TwoPartyStarProtocol):
+    """Engine body of :class:`NaiveExactProtocol` (two-party only)."""
 
     name = "naive-send-everything"
 
@@ -40,19 +33,32 @@ class NaiveExactProtocol(Protocol):
         super().__init__(seed=seed)
         self.statistic = statistic
 
-    def _execute(self, alice: Party, bob: Party):
+    def _execute_two_party(self, alice: Site, bob: Coordinator):
         a = np.asarray(alice.data)
         b = np.asarray(bob.data)
         is_binary = bool(np.all((a == 0) | (a == 1)))
         per_entry = 1 if is_binary else bitcost.INT_ENTRY_BITS
         alice.send(
-            bob,
             a,
             label="full-matrix",
             bits=bitcost.bits_for_matrix(a, per_entry=per_entry),
         )
         c = stats.product(a, b)
         return self.statistic(c), {"product_nnz": int(np.count_nonzero(c))}
+
+
+class NaiveExactProtocol(EngineBackedProtocol):
+    """Alice ships ``A``; Bob computes any requested statistic exactly.
+
+    Parameters
+    ----------
+    statistic:
+        Function mapping the product ``C`` to the desired value, e.g.
+        ``lambda c: repro.matrices.stats.exact_lp_pp(c, 0)``.
+    """
+
+    name = "naive-send-everything"
+    engine_protocol = StarNaiveExactProtocol
 
 
 class NaiveLinfProtocol(NaiveExactProtocol):

@@ -17,13 +17,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.comm import bitcost
-from repro.comm.party import Party
-from repro.comm.protocol import Protocol
+from repro.core.facade import EngineBackedProtocol, TwoPartyStarProtocol
+from repro.engine.topology import Coordinator, Site
 from repro.sketch.lp_sketch import make_lp_sketch
 
 
-class OneRoundLpNormProtocol(Protocol):
-    """One-round (1 + eps)-approximation of ``||A B||_p^p`` (the [16] baseline)."""
+class StarOneRoundLpNormProtocol(TwoPartyStarProtocol):
+    """Engine body of :class:`OneRoundLpNormProtocol` (two-party only)."""
 
     name = "lp-norm-one-round-baseline"
 
@@ -36,7 +36,7 @@ class OneRoundLpNormProtocol(Protocol):
         self.p = float(p)
         self.epsilon = float(epsilon)
 
-    def _execute(self, alice: Party, bob: Party):
+    def _execute_two_party(self, alice: Site, bob: Coordinator):
         a = np.asarray(alice.data)
         b = np.asarray(bob.data)
         if a.shape[1] != b.shape[0]:
@@ -58,3 +58,10 @@ class OneRoundLpNormProtocol(Protocol):
         )
         estimate = float(np.sum(row_estimates))
         return estimate, {"sketch_rows": int(sketch.num_rows)}
+
+
+class OneRoundLpNormProtocol(EngineBackedProtocol):
+    """One-round (1 + eps)-approximation of ``||A B||_p^p`` (the [16] baseline)."""
+
+    name = "lp-norm-one-round-baseline"
+    engine_protocol = StarOneRoundLpNormProtocol

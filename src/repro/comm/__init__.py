@@ -1,11 +1,15 @@
-"""Two-party communication substrate.
+"""Metered communication substrate.
 
 The paper analyses protocols in the classic two-party communication model:
 Alice holds matrix ``A``, Bob holds matrix ``B``, and they exchange messages
 over a channel.  The quantities the theorems bound are (i) the total number
-of bits exchanged and (ii) the number of rounds of interaction.
+of bits exchanged and (ii) the number of rounds of interaction.  The repo
+runs that model as the one-leaf star — ``Network(["alice"],
+coordinator_name="bob")``, Alice the single site and Bob the hub — whose
+direction-flip round counter is exactly the two-party definition.
 
-This package provides an in-process simulation of that model:
+This package provides an in-process simulation of that model and its
+k-site generalization:
 
 * :mod:`repro.comm.bitcost` — the single place where "how many bits does this
   payload cost" is defined, so the accounting assumptions are auditable.
@@ -14,12 +18,9 @@ This package provides an in-process simulation of that model:
 * :class:`repro.comm.network.Network` — the star-topology transport (k
   sites around a coordinator) with per-link and aggregate meters; the one
   physical transport in the repo.
-* :class:`repro.comm.channel.Channel` — the two-party view of a one-leaf
-  star: moves payloads between Alice and Bob while metering bits and
-  rounds.
-* :class:`repro.comm.party.Party` — base class for Alice/Bob endpoints.
-* :class:`repro.comm.protocol.Protocol` — driver that runs a protocol and
-  returns a :class:`repro.comm.protocol.CostReport`.
+* :mod:`repro.comm.protocol` — the :class:`~repro.comm.protocol.CostReport`
+  / :class:`~repro.comm.protocol.ProtocolResult` containers the two-party
+  driver (:meth:`repro.engine.base.StarProtocol.run_two_party`) returns.
 * :mod:`repro.comm.conditions` — per-link latency/bandwidth/jitter models
   (:class:`repro.comm.conditions.LinkModel` /
   :class:`repro.comm.conditions.NetworkConditions`) that price a recorded
@@ -36,11 +37,9 @@ from repro.comm.bitcost import (
     bits_for_payload,
     bits_for_vector,
 )
-from repro.comm.channel import Channel
 from repro.comm.conditions import IDEAL_LINK, LinkModel, NetworkConditions
 from repro.comm.network import Network, TreeNetwork
-from repro.comm.party import Party
-from repro.comm.protocol import CostReport, Protocol, ProtocolResult
+from repro.comm.protocol import CostReport, ProtocolResult
 from repro.comm.tree import TreeSpec
 
 __all__ = [
@@ -51,7 +50,6 @@ __all__ = [
     "bits_for_matrix",
     "bits_for_payload",
     "bits_for_vector",
-    "Channel",
     "IDEAL_LINK",
     "LinkModel",
     "Message",
@@ -60,8 +58,6 @@ __all__ = [
     "TreeNetwork",
     "TreeSpec",
     "NetworkConditions",
-    "Party",
     "CostReport",
-    "Protocol",
     "ProtocolResult",
 ]

@@ -1,22 +1,24 @@
 """Shared bit/round accounting for metered transports.
 
-Both the two-party :class:`repro.comm.channel.Channel` and the star-topology
-:class:`repro.comm.network.Network` charge messages the same way: every
-message carries a bit cost, and a *round* counter increments whenever the
-direction of communication flips.  This module holds the common machinery so
-the two transports cannot drift apart.
+Every metered transport — the star-topology
+:class:`repro.comm.network.Network`, its aggregate log and each of its
+per-link logs — charges messages the same way: every message carries a bit
+cost, and a *round* counter increments whenever the direction of
+communication flips.  This module holds the common machinery so the meters
+cannot drift apart.
 
 Round semantics
 ---------------
 Each recorded message carries a *direction key*.  Consecutive messages with
 the same key belong to the same round; the counter increments whenever the
-key changes (the first message opens round 1).  For a two-party channel the
+key changes (the first message opens round 1).  For a two-party link the
 key is the sender, which is exactly the classic definition.  For a star
 network the key is the up/down direction, so k sites uploading their
 summaries one after another share a single round — they could do so in
 parallel — while a coordinator reply opens a new one.  On any individual
 coordinator-site link the two notions coincide, which is what makes the
-per-link meters of a ``Network`` directly comparable to a ``Channel``.
+per-link meters of a ``Network`` directly comparable to a two-party run
+(the one-leaf star).
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ class Message:
 class MessageLog:
     """Append-only message record with bit and round accounting.
 
-    Transports (channels, network links, network aggregates) own one log
+    Transports (network links and network aggregates) own one log
     each and feed it via :meth:`record`; all derived statistics — totals,
     per-sender bits, per-label and per-round breakdowns — live here.
     """

@@ -1,6 +1,6 @@
 """Bit-cost accounting for protocol payloads.
 
-Every message sent over a :class:`repro.comm.channel.Channel` is charged a
+Every message sent over a :class:`repro.comm.network.Network` is charged a
 number of bits.  All charging rules live in this module so that the
 assumptions behind every communication measurement in the benchmarks are
 explicit and unit-tested.

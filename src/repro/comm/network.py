@@ -4,9 +4,9 @@ This is the repo's one physical transport.  The k-party generalization of
 the classic two-party channel for the coordinator model of distributed
 functional monitoring: messages only travel between a site and the
 coordinator (the star's hub) — sites never talk to each other directly,
-matching the model in the literature.  The two-party
-:class:`repro.comm.channel.Channel` is a view of this class with a single
-site (Alice) and the hub playing Bob.
+matching the model in the literature.  The two-party model is this class
+with a single site (Alice) and the hub playing Bob:
+``Network(["alice"], coordinator_name="bob")``.
 
 Accounting contract (via the shared
 :class:`repro.comm.accounting.MessageLog`):

@@ -1,19 +1,14 @@
-"""Protocol driver and result/cost containers."""
+"""Result and cost containers shared by every protocol driver."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
-from repro.comm.channel import Channel
-from repro.comm.party import Party
-
 
 @dataclass
 class CostReport:
-    """Communication cost of one protocol execution.
+    """Communication cost of one two-party protocol execution.
 
     ``makespan`` is the simulated end-to-end seconds of the transcript
     under the transport's :class:`repro.comm.conditions.NetworkConditions`
@@ -26,17 +21,6 @@ class CostReport:
     bob_bits: int
     breakdown: dict[str, int] = field(default_factory=dict)
     makespan: float = 0.0
-
-    @classmethod
-    def from_channel(cls, channel: Channel) -> "CostReport":
-        return cls(
-            total_bits=channel.total_bits,
-            rounds=channel.rounds,
-            alice_bits=channel.bits_sent_by(channel.alice_name),
-            bob_bits=channel.bits_sent_by(channel.bob_name),
-            breakdown=channel.bits_by_label(),
-            makespan=channel.makespan(),
-        )
 
 
 @dataclass
@@ -52,49 +36,8 @@ def split_protocol_output(output: Any) -> tuple[Any, dict]:
     """Split a protocol's raw return into ``(value, details)``.
 
     Protocol bodies may return either a bare value or a ``(value, details)``
-    pair; drivers (two-party and k-party) normalize through this helper.
+    pair; the engine driver normalizes through this helper.
     """
     if isinstance(output, tuple) and len(output) == 2 and isinstance(output[1], dict):
         return output
     return output, {}
-
-
-class Protocol:
-    """Base class for the two-party protocols in :mod:`repro.core`.
-
-    Subclasses implement :meth:`_execute`, receiving fully wired Alice and
-    Bob :class:`~repro.comm.party.Party` objects, and return the protocol
-    output (plus an optional ``details`` dict).  :meth:`run` takes care of
-    channel construction, seeding and cost reporting.
-
-    Parameters
-    ----------
-    seed:
-        Seed for the protocol's randomness.  The same seed drives the shared
-        (public-coin) randomness and both parties' private randomness, split
-        into independent streams.
-    """
-
-    #: Human-readable protocol name (used in benchmark tables).
-    name: str = "protocol"
-
-    def __init__(self, *, seed: int | None = None) -> None:
-        self.seed = seed
-
-    # ------------------------------------------------------------------ api
-    def run(self, alice_data: Any, bob_data: Any) -> ProtocolResult:
-        """Execute the protocol on the given inputs and report costs."""
-        channel = Channel()
-        root = np.random.default_rng(self.seed)
-        shared_seed = int(root.integers(0, 2**63 - 1))
-        alice_rng, bob_rng = root.spawn(2)
-        alice = Party("alice", alice_data, channel, rng=alice_rng)
-        bob = Party("bob", bob_data, channel, rng=bob_rng)
-        self.shared_rng = np.random.default_rng(shared_seed)
-        output = self._execute(alice, bob)
-        value, details = split_protocol_output(output)
-        return ProtocolResult(value=value, cost=CostReport.from_channel(channel), details=details)
-
-    # ------------------------------------------------------------- subclass
-    def _execute(self, alice: Party, bob: Party) -> Any:
-        raise NotImplementedError

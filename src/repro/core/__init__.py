@@ -1,7 +1,8 @@
 """The paper's protocols: statistical estimation of ``C = A B`` between two parties.
 
-Every protocol is a :class:`repro.comm.protocol.Protocol` subclass; calling
-``run(A, B)`` executes it on a metered in-process channel and returns a
+Every protocol is a :class:`repro.core.facade.EngineBackedProtocol`: calling
+``run(A, B)`` executes its engine implementation on the metered one-leaf star
+(Alice the single site, Bob the hub) and returns a
 :class:`repro.comm.protocol.ProtocolResult` with the estimate and the exact
 communication cost (bits, rounds).
 """

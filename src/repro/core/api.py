@@ -4,7 +4,7 @@
 Alice's and Bob's matrices, picks the right protocol for each query, and
 returns :class:`repro.comm.protocol.ProtocolResult` objects that carry both
 the estimate and the exact communication cost.  The query dispatch itself is
-shared with the k-site :class:`repro.multiparty.estimator.ClusterEstimator`
+shared with the k-site :class:`repro.engine.api.ClusterEstimator`
 via :class:`repro.engine.api.EstimatorBase`; this class only pins the data
 to the two-party topology.
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.comm.protocol import ProtocolResult
-from repro.engine.api import EstimatorBase, is_binary_data
+from repro.engine.api import ClusterEstimator, EstimatorBase, is_binary_data
 from repro.engine.base import StarProtocol
 
 
@@ -83,15 +83,13 @@ class MatrixProductEstimator(EstimatorBase):
 
         The rows of ``A`` are sharded evenly across ``num_sites`` sites and
         ``B`` moves to the coordinator; the returned
-        :class:`repro.multiparty.ClusterEstimator` answers the same queries
+        :class:`repro.engine.api.ClusterEstimator` answers the same queries
         over the metered star network.  With ``num_sites=2`` the k-party
         runtime reduces to the two-party protocols.  This estimator's
         runtime and network conditions carry over (link models keyed by the
         two-party names will be rejected loudly by the wider star rather
         than silently ignored).
         """
-        from repro.multiparty.estimator import ClusterEstimator
-
         return ClusterEstimator.from_matrix(
             self.a,
             self.b,

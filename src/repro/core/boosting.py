@@ -16,20 +16,22 @@ convention for the round complexity of repeated protocols.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
-from repro.comm.protocol import CostReport, Protocol, ProtocolResult
+from repro.comm.protocol import CostReport, ProtocolResult
 
 
-class MedianBoostedProtocol(Protocol):
+class MedianBoostedProtocol:
     """Run ``repetitions`` copies of a scalar protocol and take the median.
 
     Parameters
     ----------
     protocol_factory:
-        Callable ``seed -> Protocol`` building one independent copy.
+        Callable ``seed -> protocol`` building one independent copy (any
+        object whose ``run(A, B)`` returns a two-party
+        :class:`~repro.comm.protocol.ProtocolResult`).
     repetitions:
         Number of copies; ``O(log n)`` copies boost a constant success
         probability to ``1 - 1/poly(n)``.  Use :meth:`repetitions_for` to
@@ -40,14 +42,14 @@ class MedianBoostedProtocol(Protocol):
 
     def __init__(
         self,
-        protocol_factory: Callable[[int], Protocol],
+        protocol_factory: Callable[[int], Any],
         repetitions: int = 9,
         *,
         seed: int | None = None,
     ) -> None:
-        super().__init__(seed=seed)
         if repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+        self.seed = seed
         self.protocol_factory = protocol_factory
         self.repetitions = int(repetitions)
 
@@ -93,6 +95,3 @@ class MedianBoostedProtocol(Protocol):
         )
         details = {"estimates": estimates, "repetitions": self.repetitions}
         return ProtocolResult(value=float(np.median(estimates)), cost=cost, details=details)
-
-    def _execute(self, alice, bob):  # pragma: no cover - run() is overridden
-        raise NotImplementedError("MedianBoostedProtocol overrides run() directly")

@@ -30,8 +30,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.comm import bitcost
-from repro.comm.party import Party
-from repro.comm.protocol import Protocol
+from repro.core.facade import EngineBackedProtocol, TwoPartyStarProtocol
+from repro.engine.topology import Coordinator, Site
 
 
 def _nonzero_lists(matrix: np.ndarray, axis: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -65,17 +65,12 @@ def sparse_product_shares(
     return c_alice, c_bob
 
 
-class SparseProductProtocol(Protocol):
-    """Exact distributed sparse product ``C_A + C_B = A B`` (Lemma 2.5 substitute).
-
-    ``run(A, B)`` returns a result whose value is the tuple
-    ``(C_A, C_B)``; ``details['ownership']`` records which party accumulated
-    each shared item.
-    """
+class StarSparseProductProtocol(TwoPartyStarProtocol):
+    """Engine body of :class:`SparseProductProtocol` (two-party only)."""
 
     name = "distributed-sparse-product"
 
-    def _execute(self, alice: Party, bob: Party):
+    def _execute_two_party(self, alice: Site, bob: Coordinator):
         a = np.asarray(alice.data, dtype=np.int64)
         b = np.asarray(bob.data, dtype=np.int64)
         if a.shape[1] != b.shape[0]:
@@ -91,7 +86,6 @@ class SparseProductProtocol(Protocol):
 
         # Round 1: Alice announces her per-item counts.
         alice.send(
-            bob,
             u,
             label="round1/item-counts",
             bits=n_items * bitcost.bits_for_index(max(a.shape[0] + 1, 2)),
@@ -112,7 +106,7 @@ class SparseProductProtocol(Protocol):
         alice_bits = 0
         for indices, _values in alice_payload.values():
             alice_bits += len(indices) * (bitcost.bits_for_index(max(a.shape[0], 1)) + value_bits)
-        alice.send(bob, alice_payload, label="round3/alice-lists", bits=alice_bits)
+        alice.send(alice_payload, label="round3/alice-lists", bits=alice_bits)
 
         # Ownership: Bob accumulates items whose Alice-column he received.
         owner_is_bob = alice_ships.copy()
@@ -122,3 +116,15 @@ class SparseProductProtocol(Protocol):
             "exchanged_pairs": int(np.sum(np.minimum(u, v)[(u > 0) & (v > 0)])),
         }
         return (c_alice, c_bob), details
+
+
+class SparseProductProtocol(EngineBackedProtocol):
+    """Exact distributed sparse product ``C_A + C_B = A B`` (Lemma 2.5 substitute).
+
+    ``run(A, B)`` returns a result whose value is the tuple
+    ``(C_A, C_B)``; ``details['ownership']`` records which party accumulated
+    each shared item.
+    """
+
+    name = "distributed-sparse-product"
+    engine_protocol = StarSparseProductProtocol

@@ -3,8 +3,8 @@
 One implementation per protocol family, parameterized by the number of
 sites k.  The paper's two-party protocols are exactly the ``k = 1`` special
 case (Alice is the single site, Bob the coordinator), which is how the
-facades in :mod:`repro.core` run them; the k-site coordinator runtime in
-:mod:`repro.multiparty` runs the same bodies over a wider star.
+facades in :mod:`repro.core` run them; :class:`ClusterEstimator` runs the
+same bodies over a wider star.
 
 Layout
 ------
@@ -23,8 +23,8 @@ Layout
     binary heavy-hitter protocols.
 ``repro.engine.api``
     :class:`EstimatorBase`, the query dispatch shared by
-    :class:`repro.core.api.MatrixProductEstimator` and
-    :class:`repro.multiparty.estimator.ClusterEstimator`.
+    :class:`repro.core.api.MatrixProductEstimator` and the k-site
+    :class:`ClusterEstimator` facade.
 ``repro.engine.runtime``
     :class:`Runtime`, the message-passing execution layer: pluggable
     per-site executors (``serial``/``threads``/``processes``) with a
@@ -37,6 +37,7 @@ Layout
     between syncs.
 """
 
+from repro.engine.api import ClusterEstimator
 from repro.engine.base import ClusterCostReport, StarProtocol
 from repro.engine.heavy_hitters import (
     StarBinaryHeavyHittersProtocol,
@@ -67,6 +68,7 @@ __all__ = [
     "Adversary",
     "Aggregator",
     "ClusterCostReport",
+    "ClusterEstimator",
     "EpochReport",
     "FaultPlan",
     "QuorumPolicy",

@@ -35,7 +35,7 @@ A :class:`StreamingSession` is also a full
 :class:`repro.engine.api.EstimatorBase`: every one-shot query (``lp_norm``,
 ``l0_sample``, ``heavy_hitters``, ...) runs the engine protocol over the
 *accumulated* shards with the same seed-stream discipline as
-:class:`repro.multiparty.estimator.ClusterEstimator`.  Because turnstile
+:class:`repro.engine.api.ClusterEstimator`.  Because turnstile
 ingestion is exact integer accumulation, a session that ingested a shard in
 any epoch chunking answers those queries **bit-for-bit identically** — same
 estimates, same bit counts, same rounds — to a one-shot cluster built from
@@ -335,7 +335,7 @@ class StreamingSession(EstimatorBase):
         column count of the shards.
     seed:
         Base seed.  One-shot sync queries derive per-query seeds exactly
-        like :class:`~repro.multiparty.estimator.ClusterEstimator`; the
+        like :class:`~repro.engine.api.ClusterEstimator`; the
         monitoring sketches use an independent stream derived from the same
         seed, so streaming never perturbs the sync transcripts.
     refresh:

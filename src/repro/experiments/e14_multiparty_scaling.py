@@ -1,8 +1,8 @@
 """E14 — coordinator-model scaling: bits, link load and wall-clock vs k sites.
 
-The k-party runtime (:mod:`repro.multiparty`) re-runs the paper's protocols
-with the rows of ``A`` sharded across k sites around a coordinator holding
-``B``.  The claims this driver checks:
+The k-site coordinator runtime (:class:`repro.ClusterEstimator`) re-runs the
+paper's protocols with the rows of ``A`` sharded across k sites around a
+coordinator holding ``B``.  The claims this driver checks:
 
 * *rounds are k-invariant* — merging k site summaries costs no extra
   interaction, so every protocol keeps its two-party round count;
@@ -12,8 +12,8 @@ with the rows of ``A`` sharded across k sites around a coordinator holding
   is what lets the star parallelize (the makespan is bounded by
   ``max_link_bits``, not ``total_bits``).
 
-The per-round bit breakdown (``Channel.bits_per_round`` contract, shared by
-the network) attributes the growth: the downstream broadcast round scales
+The per-round bit breakdown (``MessageLog.bits_per_round`` contract, shared by
+every meter) attributes the growth: the downstream broadcast round scales
 with k while each site's upload shrinks with its shard.
 """
 
@@ -24,7 +24,7 @@ import time
 from repro.experiments import workloads
 from repro.experiments.harness import ExperimentReport, relative_error
 from repro.matrices import exact_heavy_hitters, exact_lp_pp, product
-from repro.multiparty import ClusterEstimator
+from repro.engine.api import ClusterEstimator
 
 CLAIM = (
     "Coordinator model, k sites: round counts match the two-party protocols "

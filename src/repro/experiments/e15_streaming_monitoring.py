@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.engine.streaming import StreamingSession
 from repro.experiments.harness import ExperimentReport, relative_error
-from repro.multiparty import ClusterEstimator
+from repro.engine.api import ClusterEstimator
 
 CLAIM = (
     "Streaming monitoring over the star: threshold-triggered refresh ships "

@@ -35,7 +35,7 @@ from repro.comm.conditions import LinkModel, NetworkConditions
 from repro.engine.runtime import Runtime, SiteDroppedError
 from repro.engine.streaming import StreamingSession
 from repro.experiments.harness import ExperimentReport, cost_summary, relative_error
-from repro.multiparty import ClusterEstimator
+from repro.engine.api import ClusterEstimator
 
 CLAIM = (
     "Network conditions price protocol transcripts into simulated makespans "

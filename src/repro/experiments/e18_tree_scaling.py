@@ -36,7 +36,7 @@ from repro.comm.conditions import LinkModel, NetworkConditions
 from repro.comm.network import TreeNetwork
 from repro.comm.tree import TreeSpec
 from repro.experiments.harness import ExperimentReport
-from repro.multiparty import ClusterEstimator
+from repro.engine.api import ClusterEstimator
 
 CLAIM = (
     "Routing a k-site star's uploads through a fan-out-F aggregation tree "

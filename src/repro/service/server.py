@@ -7,7 +7,7 @@ for two kinds of connections, distinguished by their ``hello``:
   byte-exact) and then serve the protocol traffic: downstream pushes,
   upstream echoes, and fanned-out per-site tasks.  Once ``num_sites`` have
   registered the cluster is *ready* and a
-  :class:`~repro.multiparty.estimator.ClusterEstimator` is built over the
+  :class:`~repro.engine.api.ClusterEstimator` is built over the
   live links (:class:`~repro.service.transport.SocketTransport` +
   :class:`~repro.service.transport.RemoteRuntime`).
 * **clients** (``role: "client"``) issue ``query`` messages — the estimator
@@ -345,7 +345,7 @@ class CoordinatorServer:
         cluster).
     seed, conditions:
         Forwarded to the served estimator, exactly as for an in-process
-        :class:`~repro.multiparty.estimator.ClusterEstimator` — equal seeds
+        :class:`~repro.engine.api.ClusterEstimator` — equal seeds
         give bit-identical estimates and simulated meters.
     host, port:
         Listen address; port 0 picks a free port (see :attr:`address`).
@@ -859,7 +859,7 @@ class CoordinatorServer:
                 self._links.pop(child, None)
 
     def _build_estimator(self) -> None:
-        from repro.multiparty.estimator import ClusterEstimator
+        from repro.engine.api import ClusterEstimator
 
         self._transport = self._make_transport(self._links)
         shards = [self._shards[i] for i in range(self.num_sites)]
@@ -989,7 +989,7 @@ class CoordinatorServer:
         cached = self._degraded_cache.get(failed)
         if cached is not None:
             return cached
-        from repro.multiparty.estimator import ClusterEstimator
+        from repro.engine.api import ClusterEstimator
 
         surviving = {
             name: link for name, link in self._links.items() if name not in failed

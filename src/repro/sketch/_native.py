@@ -1,26 +1,17 @@
-"""Optional compiled fast paths for the sketch kernels (GIL-releasing).
+"""Optional compiled fast path for the sketch kernels (GIL-releasing).
 
 The pure-NumPy kernels in :mod:`repro.sketch.kernels` hold the GIL for the
 whole scatter/Horner pass, so the ``threads`` executor serializes exactly
-where the work is.  This module provides two interchangeable compiled
-backends for the same five primitives — the Mersenne-61 Horner loops
-(stacked and grid form), the fused scalar/vector scatter-adds, and the
-row-bincount linear map:
+where the work is.  This module provides a compiled ``cffi`` backend for
+the same five primitives — the Mersenne-61 Horner loops (stacked and grid
+form), the fused scalar/vector scatter-adds, and the row-bincount linear
+map: a small C shim compiled once per source revision with the system C
+compiler into a per-user cache directory and loaded in ABI mode.  cffi
+releases the GIL around every foreign call, and the C modular multiply
+uses ``__uint128_t`` — the mathematically exact ``(a * b) mod (2^61 - 1)``,
+hence bit-identical to the NumPy split-multiply reduction.
 
-``cffi``
-    A small C shim compiled once per source revision with the system C
-    compiler into a per-user cache directory and loaded in ABI mode.
-    cffi releases the GIL around every foreign call, and the C modular
-    multiply uses ``__uint128_t`` — the mathematically exact
-    ``(a * b) mod (2^61 - 1)``, hence bit-identical to the NumPy
-    split-multiply reduction.
-
-``numba``
-    ``@njit(nogil=True, cache=True)`` mirrors of the same loops (see
-    :mod:`repro.sketch._native_numba`), using the NumPy split-multiply
-    verbatim in uint64 so every intermediate matches.
-
-Both backends preserve the accumulation *order* of the NumPy kernels —
+The backend preserves the accumulation *order* of the NumPy kernels —
 scatters accumulate into a zeroed per-row temporary in batch order and are
 then added elementwise into the table, exactly like
 ``table[row] += np.bincount(...)`` — so float results are bit-identical,
@@ -31,13 +22,12 @@ backend to prove it.
 Selection
 ---------
 The default is ``numpy`` (no compiled code runs unless asked).  Set the
-``REPRO_KERNELS`` environment variable to ``auto`` (first available of
-numba, cffi), ``numba``, ``cffi``, or ``numpy``; or call
-:func:`set_backend` / :func:`use_backend` programmatically.  An explicit
-env request for an unavailable backend falls back to NumPy with a warning
-(so a stray variable cannot break imports); :func:`set_backend` raises
-instead, which is what the tests and CI use to guarantee the compiled path
-actually ran.
+``REPRO_KERNELS`` environment variable to ``auto`` (cffi if available,
+else numpy), ``cffi``, or ``numpy``; or call :func:`set_backend` /
+:func:`use_backend` programmatically.  An explicit env request for an
+unavailable backend falls back to NumPy with a warning (so a stray
+variable cannot break imports); :func:`set_backend` raises instead, which
+is what the tests and CI use to guarantee the compiled path actually ran.
 """
 
 from __future__ import annotations
@@ -63,7 +53,7 @@ __all__ = [
 ]
 
 #: Recognized backend names, in ``auto`` preference order (numpy last).
-BACKENDS = ("numba", "cffi", "numpy")
+BACKENDS = ("cffi", "numpy")
 
 _C_DECLS = """
 void repro_horner(const uint64_t *coeffs, const uint64_t *keys,
@@ -304,61 +294,6 @@ class _CffiBackend:
         )
 
 
-class _NumbaBackend:
-    """Thin adapter over the jitted loops in :mod:`._native_numba`."""
-
-    name = "numba"
-
-    def __init__(self, mod) -> None:
-        self._mod = mod
-
-    def horner(self, coeffs: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        out = np.empty((coeffs.shape[0], keys.shape[0]), dtype=np.uint64)
-        self._mod.horner(coeffs, keys, out)
-        return out
-
-    def horner_grid(self, coeffs: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        out = np.empty(keys.shape, dtype=np.uint64)
-        flat = keys.reshape(keys.shape[0], -1)
-        self._mod.horner_grid(coeffs, flat, out.reshape(flat.shape))
-        return out
-
-    def scatter_add_scalar(
-        self,
-        table: np.ndarray,
-        buckets: np.ndarray,
-        signs: np.ndarray | None,
-        deltas: np.ndarray,
-    ) -> None:
-        if signs is None:
-            self._mod.scatter_add_scalar_unsigned(table, buckets, deltas)
-        else:
-            self._mod.scatter_add_scalar_signed(table, buckets, signs, deltas)
-
-    def scatter_add_vector(
-        self,
-        table: np.ndarray,
-        buckets: np.ndarray,
-        signs: np.ndarray,
-        deltas: np.ndarray,
-    ) -> None:
-        self._mod.scatter_add_vector(table, buckets, signs, deltas)
-
-    def bincount_f64(
-        self, rows: np.ndarray, weights: np.ndarray, out: np.ndarray
-    ) -> None:
-        w2 = weights.reshape(weights.shape[0], -1) if weights.ndim == 1 else weights
-        o2 = out.reshape(out.shape[0], -1) if out.ndim == 1 else out
-        self._mod.bincount_f64(rows, w2, o2)
-
-    def bincount_i64(
-        self, rows: np.ndarray, weights: np.ndarray, out: np.ndarray
-    ) -> None:
-        w2 = weights.reshape(weights.shape[0], -1) if weights.ndim == 1 else weights
-        o2 = out.reshape(out.shape[0], -1) if out.ndim == 1 else out
-        self._mod.bincount_i64(rows, w2, o2)
-
-
 _probe_errors: dict[str, str] = {}
 _probe_cache: dict[str, object] = {}
 
@@ -408,17 +343,11 @@ def _build_cffi():
     return _CffiBackend(ffi, ffi.dlopen(lib_path))
 
 
-def _build_numba():
-    from repro.sketch import _native_numba  # ImportError -> unavailable
-
-    return _NumbaBackend(_native_numba)
-
-
 def _probe(name: str):
     """Build (and memoize) a backend; record the failure reason on error."""
     if name in _probe_cache:
         return _probe_cache[name]
-    builder = {"cffi": _build_cffi, "numba": _build_numba}[name]
+    builder = {"cffi": _build_cffi}[name]
     try:
         backend = builder()
     except Exception as exc:  # any failure just means "unavailable"
@@ -439,14 +368,13 @@ def active():
 
 
 def current_backend() -> str:
-    """Name of the active backend: ``numpy``, ``numba``, or ``cffi``."""
+    """Name of the active backend: ``numpy`` or ``cffi``."""
     return _backend_name
 
 
 def available_backends() -> tuple[str, ...]:
     """Backends that can actually run here (always ends with ``numpy``)."""
-    names = [n for n in ("numba", "cffi") if _probe(n) is not None]
-    return tuple(names) + ("numpy",)
+    return ("cffi", "numpy") if _probe("cffi") is not None else ("numpy",)
 
 
 def probe_errors() -> dict[str, str]:
@@ -457,23 +385,17 @@ def probe_errors() -> dict[str, str]:
 def set_backend(name: str) -> str:
     """Activate a kernel backend; returns the resolved backend name.
 
-    ``auto`` picks the first available of numba, cffi, falling back to
-    numpy.  Asking for an unavailable backend by name raises
-    :class:`RuntimeError` (use the ``REPRO_KERNELS`` env var for the
-    warn-and-fall-back behaviour).
+    ``auto`` picks cffi if it is available, falling back to numpy.  Asking
+    for an unavailable backend by name raises :class:`RuntimeError` (use
+    the ``REPRO_KERNELS`` env var for the warn-and-fall-back behaviour).
     """
     global _backend, _backend_name
     if name == "numpy":
         _backend, _backend_name = None, "numpy"
     elif name == "auto":
-        for candidate in ("numba", "cffi"):
-            backend = _probe(candidate)
-            if backend is not None:
-                _backend, _backend_name = backend, candidate
-                break
-        else:
-            _backend, _backend_name = None, "numpy"
-    elif name in ("numba", "cffi"):
+        _backend = _probe("cffi")
+        _backend_name = "numpy" if _backend is None else "cffi"
+    elif name == "cffi":
         backend = _probe(name)
         if backend is None:
             raise RuntimeError(
@@ -484,7 +406,7 @@ def set_backend(name: str) -> str:
     else:
         raise ValueError(
             f"unknown kernel backend {name!r}; expected one of "
-            f"{('numpy', 'auto') + BACKENDS[:2]}"
+            f"{('numpy', 'auto', 'cffi')}"
         )
     return _backend_name
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.comm.accounting import MessageLog
-from repro.comm.channel import Channel
+from repro.comm.network import Network
 
 
 class TestMessageLog:
@@ -62,11 +62,11 @@ class TestMessageLog:
         assert log.rounds == 1
 
 
-class TestChannelInheritsAccounting:
-    def test_channel_bits_per_round(self):
-        channel = Channel()
-        channel.send("alice", "bob", 1, bits=10, label="r1")
-        channel.send("bob", "alice", 1, bits=20, label="r2")
-        channel.send("bob", "alice", 1, bits=30, label="r2")
-        assert channel.bits_per_round() == {1: 10, 2: 50}
-        assert channel.bits_by_label() == {"r1": 10, "r2": 50}
+class TestTwoPartyNetworkInheritsAccounting:
+    def test_two_party_bits_per_round(self):
+        network = Network(["alice"], coordinator_name="bob")
+        network.send("alice", "bob", 1, bits=10, label="r1")
+        network.send("bob", "alice", 1, bits=20, label="r2")
+        network.send("bob", "alice", 1, bits=30, label="r2")
+        assert network.bits_per_round() == {1: 10, 2: 50}
+        assert network.bits_by_label() == {"r1": 10, "r2": 50}

@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.comm import LinkModel, Network, NetworkConditions
-from repro.comm.channel import Channel
 from repro.comm.conditions import IDEAL_LINK, simulate_makespan
 
 
@@ -141,12 +140,12 @@ class TestNetworkMakespan:
         network.send("a", "hub", None, bits=5)  # same round, same burst
         assert network.makespan() == pytest.approx(1.0)
 
-    def test_channel_view_prices_the_same(self):
+    def test_two_party_network_prices_the_same(self):
         conditions = NetworkConditions(LinkModel(latency=2.0, bandwidth=8.0))
-        channel = Channel(conditions=conditions)
-        channel.send("alice", "bob", None, bits=16)
-        channel.send("bob", "alice", None, bits=8)
-        assert channel.makespan() == pytest.approx((2.0 + 2.0) + (2.0 + 1.0))
+        network = Network(["alice"], coordinator_name="bob", conditions=conditions)
+        network.send("alice", "bob", None, bits=16)
+        network.send("bob", "alice", None, bits=8)
+        assert network.makespan() == pytest.approx((2.0 + 2.0) + (2.0 + 1.0))
 
 
 # --------------------------------------------------------------------------

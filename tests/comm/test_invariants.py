@@ -1,7 +1,7 @@
 """Accounting invariants of the unified engine's transports.
 
-Every metered transport — the two-party ``Channel`` view and the star
-``Network`` under it — must satisfy, after any protocol execution:
+Every metered transport — the star ``Network``, including its one-leaf
+two-party form — must satisfy, after any protocol execution:
 
 * per-round bits partition the total: ``sum(bits_per_round()) == total_bits``;
 * per-label bits partition the total: ``sum(bits_by_label()) == total_bits``;
@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.comm.channel import Channel
 from repro.comm.network import Network
 from repro.engine import (
     StarBinaryHeavyHittersProtocol,
@@ -53,7 +52,7 @@ def _assert_log_invariants(total_bits, rounds, per_round, by_label):
     assert all(bits >= 0 for bits in per_round.values())
 
 
-class TestChannelInvariantsUnderEngine:
+class TestTwoPartyInvariantsUnderEngine:
     @pytest.mark.parametrize("factory", ENGINE_PROTOCOLS)
     def test_two_party_view(self, workload, factory):
         a, b = workload
@@ -63,30 +62,30 @@ class TestChannelInvariantsUnderEngine:
         assert cost.alice_bits + cost.bob_bits == cost.total_bits
         assert cost.rounds >= 1
 
-    def test_channel_per_round_partition(self, workload):
-        """Drive a raw Channel and check bits_per_round / bits_by_label."""
-        channel = Channel()
-        channel.send("alice", "bob", 1, bits=10, label="x")
-        channel.send("alice", "bob", 1, bits=5, label="y")
-        channel.send("bob", "alice", 1, bits=7, label="x")
-        channel.send("alice", "bob", 1, bits=3, label="z")
+    def test_two_party_per_round_partition(self, workload):
+        """Drive a raw one-leaf network and check bits_per_round / bits_by_label."""
+        network = Network(["alice"], coordinator_name="bob")
+        network.send("alice", "bob", 1, bits=10, label="x")
+        network.send("alice", "bob", 1, bits=5, label="y")
+        network.send("bob", "alice", 1, bits=7, label="x")
+        network.send("alice", "bob", 1, bits=3, label="z")
         _assert_log_invariants(
-            channel.total_bits,
-            channel.rounds,
-            channel.bits_per_round(),
-            channel.bits_by_label(),
+            network.total_bits,
+            network.rounds,
+            network.bits_per_round(),
+            network.bits_by_label(),
         )
-        assert channel.bits_per_round() == {1: 15, 2: 7, 3: 3}
-        assert channel.bits_by_label() == {"x": 17, "y": 5, "z": 3}
+        assert network.bits_per_round() == {1: 15, 2: 7, 3: 3}
+        assert network.bits_by_label() == {"x": 17, "y": 5, "z": 3}
 
-    def test_channel_reset_clears_everything(self):
-        channel = Channel()
-        channel.send("alice", "bob", 1, bits=4)
-        channel.reset()
-        assert channel.total_bits == 0
-        assert channel.rounds == 0
-        assert channel.bits_per_round() == {}
-        assert channel.bits_by_label() == {}
+    def test_two_party_reset_clears_everything(self):
+        network = Network(["alice"], coordinator_name="bob")
+        network.send("alice", "bob", 1, bits=4)
+        network.reset()
+        assert network.total_bits == 0
+        assert network.rounds == 0
+        assert network.bits_per_round() == {}
+        assert network.bits_by_label() == {}
 
 
 class TestNetworkInvariantsUnderEngine:
@@ -106,9 +105,8 @@ class TestNetworkInvariantsUnderEngine:
         # Per-sender bits partition the aggregate.
         assert cost.coordinator_bits + sum(cost.site_bits.values()) == cost.total_bits
 
-    def test_channel_and_one_site_network_agree(self, workload):
-        """The Channel is literally a one-leaf star: identical meters."""
-        channel = Channel()
+    def test_one_site_aggregate_and_link_meters_agree(self, workload):
+        """With one site, the aggregate log and the link log are identical."""
         network = Network(["alice"], coordinator_name="bob")
         for sender, receiver, bits, label in [
             ("alice", "bob", 11, "up"),
@@ -116,10 +114,10 @@ class TestNetworkInvariantsUnderEngine:
             ("bob", "alice", 2, "down"),
             ("alice", "bob", 7, "up"),
         ]:
-            channel.send(sender, receiver, None, bits=bits, label=label)
             network.send(sender, receiver, None, bits=bits, label=label)
-        assert channel.total_bits == network.total_bits
-        assert channel.rounds == network.rounds
-        assert channel.bits_per_round() == network.bits_per_round()
-        assert channel.bits_by_label() == network.bits_by_label()
-        assert channel.bits_sent_by("alice") == network.bits_sent_by("alice")
+        link = network.link("alice")
+        assert link.total_bits == network.total_bits == 33
+        assert link.rounds == network.rounds == 3
+        assert link.bits_per_round() == network.bits_per_round()
+        assert link.bits_by_label() == network.bits_by_label()
+        assert link.bits_sent_by("alice") == network.bits_sent_by("alice") == 18

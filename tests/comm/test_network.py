@@ -1,10 +1,10 @@
-"""Star-network accounting: topology rules and agreement with the Channel.
+"""Star-network accounting: topology rules and the two-party reduction.
 
-The satellite property required by the issue: replaying any two-party
-message sequence over a one-site star must reproduce the two-party
-channel's accounting exactly — same direction-flip round counter, same
-totals, same per-label and per-round breakdowns — both on the aggregate
-log and on the per-link meter.
+Replaying any two-party message sequence over a one-site star must give
+the classic two-party accounting — the aggregate log's up/down round
+counter, totals, per-label and per-round breakdowns all equal the link
+log's sender-flip meter — and with k sites every link must behave like
+its own one-leaf (two-party) network.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.comm.channel import Channel
+from repro.comm import bitcost
 from repro.comm.network import Network
 
 
@@ -56,66 +56,61 @@ class TestStarTopologyRules:
         with pytest.raises(ValueError, match="differ"):
             network.send("s0", "s0", None, bits=1)
 
-    def test_default_payload_costing_matches_channel(self):
+    def test_default_payload_costing_uses_bitcost(self):
         network = Network(["s0"])
-        channel = Channel()
         payload = np.arange(10)
         network.send("s0", "coordinator", payload)
-        channel.send("alice", "bob", payload)
-        assert network.total_bits == channel.total_bits > 0
+        assert network.total_bits == bitcost.bits_for_payload(payload) > 0
 
 
 class TestTwoPartyReduction:
-    """Network with one site == the two-party channel, message for message."""
+    """Network with one site == the two-party model, message for message."""
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_round_and_bit_accounting_agree_with_channel(self, seed):
+    def test_round_and_bit_accounting_agree_with_two_party(self, seed):
         trace = random_two_party_trace(seed)
-        channel = Channel(alice_name="site-0", bob_name="coordinator")
-        network = Network(["site-0"])
+        network = Network(["alice"], coordinator_name="bob")
+        expected_rounds, last_sender = 0, None
         for upstream, bits, label in trace:
-            sender, receiver = (
-                ("site-0", "coordinator") if upstream else ("coordinator", "site-0")
-            )
-            channel.send(sender, receiver, None, label=label, bits=bits)
+            sender, receiver = ("alice", "bob") if upstream else ("bob", "alice")
             network.send(sender, receiver, None, label=label, bits=bits)
+            # Classic two-party rounds: a new round each time the sender flips.
+            expected_rounds += sender != last_sender
+            last_sender = sender
 
-        assert network.rounds == channel.rounds
-        assert network.total_bits == channel.total_bits
-        assert network.bits_by_label() == channel.bits_by_label()
-        assert network.bits_per_round() == channel.bits_per_round()
-        assert network.bits_sent_by("site-0") == channel.bits_sent_by("site-0")
-        assert network.bits_sent_by("coordinator") == channel.bits_sent_by("coordinator")
+        assert network.rounds == expected_rounds
+        assert network.total_bits == sum(bits for _, bits, _ in trace)
+        assert network.bits_sent_by("alice") == sum(b for up, b, _ in trace if up)
+        assert network.bits_sent_by("bob") == sum(b for up, b, _ in trace if not up)
 
-        link = network.link("site-0")
-        assert link.rounds == channel.rounds
-        assert link.total_bits == channel.total_bits
-        assert link.bits_by_label() == channel.bits_by_label()
-        assert link.bits_per_round() == channel.bits_per_round()
+        # The per-link meter (sender-flip semantics) equals the aggregate
+        # (up/down semantics) when the star has a single leaf.
+        link = network.link("alice")
+        assert link.rounds == network.rounds
+        assert link.total_bits == network.total_bits
+        assert link.bits_by_label() == network.bits_by_label()
+        assert link.bits_per_round() == network.bits_per_round()
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_per_link_meters_agree_with_independent_channels(self, seed):
-        """With k sites, every link behaves like its own two-party channel."""
+    def test_per_link_meters_agree_with_independent_two_party_networks(self, seed):
+        """With k sites, every link behaves like its own one-leaf network."""
         rng = np.random.default_rng(1000 + seed)
         k = 4
         network = Network([f"site-{i}" for i in range(k)])
-        channels = {
-            f"site-{i}": Channel(alice_name=f"site-{i}", bob_name="coordinator")
-            for i in range(k)
-        }
+        pairs = {f"site-{i}": Network([f"site-{i}"]) for i in range(k)}
         for _ in range(80):
             site = f"site-{int(rng.integers(0, k))}"
             upstream = bool(rng.integers(0, 2))
             bits = int(rng.integers(0, 500))
             sender, receiver = (site, "coordinator") if upstream else ("coordinator", site)
             network.send(sender, receiver, None, bits=bits)
-            channels[site].send(sender, receiver, None, bits=bits)
+            pairs[site].send(sender, receiver, None, bits=bits)
 
-        for site, channel in channels.items():
-            assert network.link(site).rounds == channel.rounds
-            assert network.link(site).total_bits == channel.total_bits
-        assert network.total_bits == sum(c.total_bits for c in channels.values())
-        assert network.max_link_bits == max(c.total_bits for c in channels.values())
+        for site, pair in pairs.items():
+            assert network.link(site).rounds == pair.rounds
+            assert network.link(site).total_bits == pair.total_bits
+        assert network.total_bits == sum(p.total_bits for p in pairs.values())
+        assert network.max_link_bits == max(p.total_bits for p in pairs.values())
 
 
 class TestAggregateRoundSemantics:

@@ -13,10 +13,10 @@ import pytest
 
 from repro import ClusterEstimator, MatrixProductEstimator
 from repro.matrices import exact_heavy_hitters, exact_lp_pp, generators, product
-from repro.multiparty import (
-    MultipartyHeavyHittersProtocol,
-    MultipartyL0SamplingProtocol,
-    MultipartyLpNormProtocol,
+from repro.engine import (
+    StarHeavyHittersProtocol,
+    StarL0SamplingProtocol,
+    StarLpNormProtocol,
 )
 
 
@@ -198,31 +198,31 @@ class TestValidation:
 
     def test_protocol_parameter_validation(self):
         with pytest.raises(ValueError, match="p must be"):
-            MultipartyLpNormProtocol(5.0, 0.1)
+            StarLpNormProtocol(5.0, 0.1)
         with pytest.raises(ValueError, match="epsilon"):
-            MultipartyL0SamplingProtocol(0.0)
+            StarL0SamplingProtocol(0.0)
         with pytest.raises(ValueError, match="eps"):
-            MultipartyHeavyHittersProtocol(0.1, 0.5)
+            StarHeavyHittersProtocol(0.1, 0.5)
 
     def test_heavy_hitters_rejects_negative_entries(self, binary_pair):
         a, b = binary_pair
         shards = [a[:32].astype(np.int64), a[32:].astype(np.int64)]
         shards[0][0, 0] = -1
         with pytest.raises(ValueError, match="non-negative"):
-            MultipartyHeavyHittersProtocol(0.1, 0.05, seed=0).run(shards, b)
+            StarHeavyHittersProtocol(0.1, 0.05, seed=0).run(shards, b)
 
     def test_run_rejects_mismatched_shard_widths(self, binary_pair):
         a, b = binary_pair
         with pytest.raises(ValueError, match="inner dimension"):
-            MultipartyLpNormProtocol(1.0, 0.3, seed=0).run([a[:10], a[10:, :-1]], b)
+            StarLpNormProtocol(1.0, 0.3, seed=0).run([a[:10], a[10:, :-1]], b)
 
     def test_zero_product_returns_zero(self):
         shards = [np.zeros((8, 16), dtype=np.int64), np.zeros((8, 16), dtype=np.int64)]
         b = np.zeros((16, 16), dtype=np.int64)
-        result = MultipartyLpNormProtocol(1.0, 0.3, seed=0).run(shards, b)
+        result = StarLpNormProtocol(1.0, 0.3, seed=0).run(shards, b)
         assert result.value == 0.0
         assert result.cost.rounds == 2
-        sample = MultipartyL0SamplingProtocol(0.3, seed=0).run(shards, b)
+        sample = StarL0SamplingProtocol(0.3, seed=0).run(shards, b)
         assert not sample.value.success
-        heavy = MultipartyHeavyHittersProtocol(0.1, 0.05, seed=0).run(shards, b)
+        heavy = StarHeavyHittersProtocol(0.1, 0.05, seed=0).run(shards, b)
         assert len(heavy.value) == 0

@@ -1,21 +1,34 @@
-"""Tests for the per-item index-exchange primitive shared by Algorithms 2/3/5.2."""
+"""Tests for the per-item index-exchange primitive shared by Algorithms 2/3/5.2.
+
+Run in the two-party view: the one-leaf star with Alice as the single site
+and Bob as the coordinator, so the site's share is ``C_A`` and the
+coordinator's is ``C_B``.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.comm.channel import Channel
-from repro.comm.party import Party
-from repro.core.exchange import exchange_item_supports
+from repro.comm.network import Network
+from repro.engine.exchange import star_exchange_item_supports
+from repro.engine.topology import Coordinator, Site
 from repro.matrices import random_binary_pair
 
 
 def _make_parties(a, b):
-    channel = Channel()
-    alice = Party("alice", a, channel, rng=np.random.default_rng(0))
-    bob = Party("bob", b, channel, rng=np.random.default_rng(1))
-    return alice, bob, channel
+    network = Network(["alice"], coordinator_name="bob")
+    alice = Site("alice", a, network, rng=np.random.default_rng(0))
+    bob = Coordinator(b, network, rng=np.random.default_rng(1))
+    return alice, bob, network
+
+
+def exchange_item_supports(alice, bob, a_sub, b, **kwargs):
+    """Two-party call shape: ``(C_A, C_B, info)``."""
+    site_shares, c_bob, info = star_exchange_item_supports(
+        bob, [alice], [np.asarray(a_sub)], np.asarray(b), **kwargs
+    )
+    return site_shares[0], c_bob, info
 
 
 class TestCorrectness:
@@ -69,19 +82,19 @@ class TestCostAccounting:
         active = (u > 0) & (v > 0)
         assert info["exchanged_indices"] == int(np.minimum(u, v)[active].sum())
 
-    def test_channel_records_both_directions(self):
+    def test_network_records_both_directions(self):
         a, b = random_binary_pair(32, density=0.2, seed=64)
-        alice, bob, channel = _make_parties(a, b)
+        alice, bob, network = _make_parties(a, b)
         exchange_item_supports(alice, bob, a, b, label_prefix="x/")
-        labels = {message.label for message in channel.messages}
+        labels = {message.label for message in network.log.messages}
         assert "x/coordinator-item-lists" in labels
         assert "x/site-item-lists" in labels
 
     def test_send_u_counts_flag_controls_first_message(self):
         a, b = random_binary_pair(32, density=0.2, seed=65)
-        alice, bob, channel = _make_parties(a, b)
+        alice, bob, network = _make_parties(a, b)
         exchange_item_supports(alice, bob, a, b, send_u_counts=False)
-        labels = {message.label for message in channel.messages}
+        labels = {message.label for message in network.log.messages}
         assert not any("item-counts" in label for label in labels)
 
     def test_items_split_between_parties(self):
@@ -91,4 +104,4 @@ class TestCostAccounting:
         u = a.sum(axis=0)
         v = b.sum(axis=1)
         active = int(np.count_nonzero((u > 0) & (v > 0)))
-        assert info["alice_items"] + info["bob_items"] == active
+        assert info["site_owned_items"] + info["coordinator_owned_items"] == active

@@ -22,10 +22,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import ClusterEstimator
 from repro.comm.conditions import LinkModel, NetworkConditions
 from repro.engine.lp_norm import StarLpNormProtocol
 from repro.engine.runtime import QuorumPolicy, Runtime, SiteDroppedError
-from repro.multiparty import ClusterEstimator
 
 NUM_SITES = 4
 SEED = 11

@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import ClusterEstimator
 from repro.comm import LinkModel, NetworkConditions
 from repro.engine import (
     Runtime,
@@ -39,7 +40,6 @@ from repro.engine import (
     StarTwoPlusEpsilonLinfProtocol,
     StreamingSession,
 )
-from repro.multiparty import ClusterEstimator
 
 SEED = 515151
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import ClusterEstimator
 from repro.comm.conditions import LinkModel, NetworkConditions
-from repro.multiparty import ClusterEstimator
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.multiparty import ClusterEstimator
+from repro import ClusterEstimator
 
 
 @pytest.fixture(scope="module")

@@ -24,7 +24,7 @@ import pickletools
 import numpy as np
 import pytest
 
-from repro.multiparty import ClusterEstimator
+from repro import ClusterEstimator
 from repro.service.client import local_cluster
 from repro.service.messages import ServiceError
 

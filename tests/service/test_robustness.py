@@ -28,9 +28,9 @@ import time
 import numpy as np
 import pytest
 
+from repro import ClusterEstimator
 from repro.comm.conditions import NetworkConditions
 from repro.engine.runtime import Runtime
-from repro.multiparty import ClusterEstimator
 from repro.service.client import local_cluster
 from repro.service.messages import ServiceError
 from repro.service.metrics import parse_metrics_text

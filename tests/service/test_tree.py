@@ -11,8 +11,8 @@ invariant ``observed_bytes * 8 == wire_bits`` holds on every tree edge.
 import numpy as np
 import pytest
 
+from repro import ClusterEstimator
 from repro.comm.tree import TreeSpec
-from repro.multiparty import ClusterEstimator
 from repro.service.client import local_cluster
 
 def _cluster_data(k=4, rows=6, cols=16, seed=5):

@@ -1,7 +1,7 @@
 """Compiled kernel backends are exact rewrites of the NumPy kernels.
 
 :mod:`repro.sketch._native` offers optional GIL-releasing fast paths
-(numba- or cffi-compiled) for the hot kernels; the NumPy implementation is
+(cffi-compiled C) for the hot kernels; the NumPy implementation is
 the reference and the default.  Every backend available in the current
 environment is driven through the *public* kernel entry points and its
 output compared byte for byte against the NumPy path — including the
@@ -15,7 +15,7 @@ state bytes compared against the NumPy-path state, which
 run here extends the golden pins to the compiled backends without
 duplicating the hashes.
 
-Backends that cannot initialize here (no numba wheel, no C compiler) are
+Backends that cannot initialize here (no cffi, no C compiler) are
 skipped, not failed; CI matrixes them in.
 """
 
@@ -195,10 +195,20 @@ class TestBackendSelection:
             assert _native.current_backend() in _native.BACKENDS
         assert _native.current_backend() == before  # context restores
 
-    @pytest.mark.parametrize(
-        "name",
-        [n for n in COMPILED if _native._probe(n) is None],
-    )
-    def test_explicitly_requesting_an_unavailable_backend_raises(self, name):
+    def test_auto_prefers_cffi_else_numpy(self, monkeypatch):
+        with _native.use_backend("auto") as resolved:
+            assert resolved == ("cffi" if "cffi" in available else "numpy")
+        before = _native.current_backend()
+        monkeypatch.setitem(_native._probe_cache, "cffi", None)
+        try:
+            assert _native.set_backend("auto") == "numpy"
+        finally:
+            monkeypatch.undo()
+            _native.set_backend(before)
+
+    def test_explicitly_requesting_an_unavailable_backend_raises(self, monkeypatch):
+        monkeypatch.setitem(_native._probe_cache, "cffi", None)
+        before = _native.current_backend()
         with pytest.raises(RuntimeError):
-            _native.set_backend(name)
+            _native.set_backend("cffi")
+        assert _native.current_backend() == before

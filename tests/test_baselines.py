@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from repro.baselines.countsketch_hh import CompressedMatMulHeavyHittersProtocol
-from repro.baselines.naive import NaiveExactProtocol, NaiveLinfProtocol
+from repro.baselines.naive import (
+    NaiveExactProtocol,
+    NaiveLinfProtocol,
+    StarNaiveExactProtocol,
+)
 from repro.baselines.one_round import OneRoundLpNormProtocol
 from repro.core.lp_norm import LpNormProtocol
 from repro.matrices import (
@@ -106,3 +110,16 @@ class TestCompressedMatMulBaseline:
         cheap = CompressedMatMulHeavyHittersProtocol(0.2, 0.1, width=16, seed=4).run(a, b)
         costly = CompressedMatMulHeavyHittersProtocol(0.2, 0.1, width=64, seed=4).run(a, b)
         assert costly.cost.total_bits > 2 * cheap.cost.total_bits
+
+
+class TestEngineBackedBaselines:
+    def test_engine_body_rejects_more_than_one_site(self):
+        a, b = random_binary_pair(8, density=0.3, seed=110)
+        with pytest.raises(ValueError, match="two-party"):
+            StarNaiveExactProtocol(stats.exact_linf, seed=0).run([a[:4], a[4:]], b)
+
+    def test_facade_keeps_name_and_proxies_parameters(self):
+        protocol = OneRoundLpNormProtocol(1.0, 0.3, seed=5)
+        assert protocol.name == "lp-norm-one-round-baseline"
+        assert (protocol.p, protocol.epsilon, protocol.seed) == (1.0, 0.3, 5)
+        assert NaiveLinfProtocol(seed=1).name == "naive-linf"

@@ -1,15 +1,16 @@
-"""Packaging invariants: version single-sourcing, typing marker, deprecations."""
+"""Packaging invariants: version single-sourcing, typing marker, removals."""
 
 from __future__ import annotations
 
 import importlib
 import pathlib
 import re
-import sys
+from functools import partial
 
 import pytest
 
 import repro
+from repro.sketch import _native
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -33,13 +34,25 @@ class TestTypingMarker:
         assert (package_dir / "py.typed").is_file()
 
 
-class TestDeprecations:
-    def test_multiparty_protocols_module_warns(self):
-        """The old protocol module is a deprecated alias shim."""
-        sys.modules.pop("repro.multiparty.protocols", None)
-        with pytest.warns(DeprecationWarning, match="repro.engine"):
-            module = importlib.import_module("repro.multiparty.protocols")
-        # The historical names still resolve to the engine implementations.
-        from repro.engine import StarLpNormProtocol
+#: Retired modules and knob values, each with the error that pins its removal.
+REMOVED = [
+    pytest.param(partial(importlib.import_module, name), ModuleNotFoundError, id=name)
+    for name in (
+        "repro.multiparty",
+        "repro.multiparty.estimator",
+        "repro.multiparty.network",
+        "repro.multiparty.protocols",
+        "repro.multiparty.site",
+        "repro.comm.channel",
+        "repro.comm.party",
+        "repro.core.exchange",
+        "repro.sketch._native_numba",
+    )
+] + [pytest.param(partial(_native.set_backend, "numba"), ValueError, id="set_backend-numba")]
 
-        assert module.MultipartyLpNormProtocol is StarLpNormProtocol
+
+@pytest.mark.parametrize("action, error", REMOVED)
+def test_removed_surface_stays_removed(action, error):
+    """Deleted modules fail to import and the numba backend is rejected."""
+    with pytest.raises(error):
+        action()
