@@ -35,7 +35,9 @@ history is a committed, diffable artifact instead of folklore:
   and the speedup is recorded.
 * **steady state** — repeated ``update_many`` after warmup (rows/sec),
   including the matrix-valued ``L0Sampler`` updates (512 rows of 64 or 128
-  columns) that engine and streaming sites run.
+  columns) that engine and streaming sites run, and one site's exact
+  integer product against the ``l_0`` sketch of ``B`` (``exact_matmul``,
+  with NumPy's int64 loop as the ``int64_matmul`` yardstick).
 * **construction** — constructor latency and resident sketch memory as the
   universe grows to ``2^30`` (the huge-universe capability: time and memory
   must be independent of ``n``).
@@ -68,7 +70,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.sketch import AmsSketch, CountSketch, L0Sampler, L0Sketch
-from repro.sketch.kernels import StackedKWiseHash
+from repro.sketch.kernels import StackedKWiseHash, exact_matmul
 
 #: CI gate: same-config throughput may not drop below baseline / FACTOR.
 REGRESSION_FACTOR = 5.0
@@ -115,6 +117,14 @@ MATRIX_SAMPLER_CASES = {
     "sampler_hash_matrix": ("hash", UNIVERSE, 64),
     "sampler_dense_matrix": ("dense", 1 << 12, 128),
 }
+
+#: Exact integer product legs: one site's 512 x 128 binary shard against the
+#: ``l_0`` sketch of a 128 x 128 binary ``B`` at the lp_norm round-2 accuracy
+#: ``sqrt(0.3)`` (216 sketch rows), the ``join_size`` product of the e2e
+#: ``oneshot_mix`` workload.  ``int64_matmul`` is NumPy's int64 loop, the
+#: yardstick ``exact_matmul`` must stay well ahead of.
+PRODUCT_SHARD = (512, 128)
+PRODUCT_EPSILON = 0.3**0.5
 
 
 def timed(fn, repeats: int = 1) -> float:
@@ -347,6 +357,25 @@ def bench_steady_state(metrics: dict) -> None:
             },
             "seconds": seconds,
             "rows_per_sec": MATRIX_BATCH / seconds,
+        }
+
+    # Exact integer product: a site's round-2 shard times the l0 sketch of B.
+    rng = np.random.default_rng(99)
+    rows, inner = PRODUCT_SHARD
+    shard = (rng.random((rows, inner)) < 0.1).astype(np.int64)
+    b = (rng.random((inner, inner)) < 0.1).astype(np.int64)
+    sketch = L0Sketch.for_accuracy(inner, PRODUCT_EPSILON, np.random.default_rng(2))
+    sketched_b = sketch.apply(b.T).T  # (inner, sketch rows), as lp_norm uses it
+    for name, product in {
+        "exact_matmul": lambda: exact_matmul(shard, sketched_b),
+        "int64_matmul": lambda: shard @ sketched_b,
+    }.items():
+        product()  # warm
+        seconds = timed(product, REPEATS)
+        metrics[f"steady_state/{name}"] = {
+            "config": {"rows": rows, "inner": inner, "cols": sketched_b.shape[1]},
+            "seconds": seconds,
+            "rows_per_sec": rows / seconds,
         }
 
 

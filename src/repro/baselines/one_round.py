@@ -19,6 +19,7 @@ import numpy as np
 from repro.comm import bitcost
 from repro.core.facade import EngineBackedProtocol, TwoPartyStarProtocol
 from repro.engine.topology import Coordinator, Site
+from repro.sketch.kernels import exact_matmul
 from repro.sketch.lp_sketch import make_lp_sketch
 
 
@@ -52,7 +53,7 @@ class StarOneRoundLpNormProtocol(TwoPartyStarProtocol):
             bits=bitcost.bits_for_matrix(sketched_bt),
         )
 
-        c_tilde = a @ sketched_bt.T
+        c_tilde = exact_matmul(a, sketched_bt.T)
         row_estimates = np.maximum(
             np.asarray(sketch.estimate_rows_pp(c_tilde), dtype=float), 0.0
         )

@@ -32,6 +32,7 @@ import numpy as np
 from repro.comm import bitcost
 from repro.core.facade import EngineBackedProtocol, TwoPartyStarProtocol
 from repro.engine.topology import Coordinator, Site
+from repro.sketch.kernels import exact_matmul
 
 
 def _nonzero_lists(matrix: np.ndarray, axis: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -60,8 +61,8 @@ def sparse_product_shares(
     owner_is_bob = np.asarray(owner_is_bob, dtype=bool)
     if owner_is_bob.shape[0] != a.shape[1]:
         raise ValueError("ownership mask must have one entry per shared item")
-    c_bob = a[:, owner_is_bob] @ b[owner_is_bob, :]
-    c_alice = a[:, ~owner_is_bob] @ b[~owner_is_bob, :]
+    c_bob = exact_matmul(a[:, owner_is_bob], b[owner_is_bob, :])
+    c_alice = exact_matmul(a[:, ~owner_is_bob], b[~owner_is_bob, :])
     return c_alice, c_bob
 
 

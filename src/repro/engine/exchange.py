@@ -32,6 +32,7 @@ from repro.comm import bitcost
 from repro.engine.l1 import shard_column_sums
 from repro.engine.runtime import SERIAL_RUNTIME, Runtime
 from repro.engine.topology import Coordinator, Site
+from repro.sketch.kernels import exact_matmul
 
 __all__ = ["star_exchange_item_supports"]
 
@@ -73,8 +74,8 @@ def _up_list_task(
         indices = np.flatnonzero(shard[:, j])
         payload[int(j)] = row_offset + indices
         up_bits += bitcost.bits_for_index_list(indices, max(total_rows, 1))
-    coord_block = shard[:, site_ships] @ b[site_ships, :]
-    site_share = shard[:, coordinator_ships] @ b[coordinator_ships, :]
+    coord_block = exact_matmul(shard[:, site_ships], b[site_ships, :])
+    site_share = exact_matmul(shard[:, coordinator_ships], b[coordinator_ships, :])
     return payload, up_bits, coord_block, site_share
 
 

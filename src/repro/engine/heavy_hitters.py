@@ -45,6 +45,7 @@ from repro.engine.l1 import shard_column_sums
 from repro.engine.linf import _universe_mask_rng
 from repro.engine.lp_norm import check_inner_dims, star_lp_pp_estimate, total_rows_of
 from repro.engine.topology import Coordinator, Site
+from repro.sketch.kernels import exact_matmul
 
 __all__ = [
     "StarBinaryHeavyHittersProtocol",
@@ -120,9 +121,9 @@ def _site_share_task(
         ship_bits += int(np.count_nonzero(beta_shard[:, j])) * (
             bitcost.bits_for_index(max(total_rows, 1)) + value_bits
         )
-    coord_block = beta_shard[:, ship_mask] @ b[ship_mask, :]
+    coord_block = exact_matmul(beta_shard[:, ship_mask], b[ship_mask, :])
 
-    c_site = beta_shard[:, coord_ships] @ b[coord_ships, :]
+    c_site = exact_matmul(beta_shard[:, coord_ships], b[coord_ships, :])
     heavy_site = {
         (int(i) + row_offset, int(j)): int(c_site[i, j])
         for i, j in zip(*np.nonzero(c_site > report_threshold))

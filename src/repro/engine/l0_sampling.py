@@ -29,6 +29,7 @@ from repro.core.result import SampleOutput
 from repro.engine.base import StarProtocol
 from repro.engine.lp_norm import check_inner_dims, total_rows_of
 from repro.engine.topology import Coordinator, Site, shard_partial_summaries
+from repro.sketch.kernels import exact_matmul
 from repro.sketch.l0_sampler import L0Sampler
 from repro.sketch.l0_sketch import L0Sketch
 
@@ -124,8 +125,8 @@ class StarL0SamplingProtocol(StarProtocol):
         merged_sampler = reduce(
             lambda acc, pair: acc.merge(pair[1]), site_summaries, sampler.empty_copy()
         )
-        sketched_c = merged_sketch.state @ b.astype(np.int64)
-        sampler_c = merged_sampler.state @ b.astype(np.int64)
+        sketched_c = exact_matmul(merged_sketch.state, b.astype(np.int64))
+        sampler_c = exact_matmul(merged_sampler.state, b.astype(np.int64))
         return finish_l0_sample(
             l0_sketch, sampler, sketched_c, sampler_c, coordinator.rng
         )

@@ -28,6 +28,7 @@ from repro.engine.base import StarProtocol
 from repro.engine.robust import RobustPolicy, robust_total
 from repro.engine.runtime import SERIAL_RUNTIME, Runtime
 from repro.engine.topology import Coordinator, Site
+from repro.sketch.kernels import exact_matmul
 from repro.sketch.lp_sketch import make_lp_sketch
 
 __all__ = [
@@ -115,7 +116,7 @@ def weighted_block_pp(payload: dict, b: np.ndarray, p: float) -> float:
     contribution of one block's sampled rows to ``||A B||_p^p``."""
     if len(payload["rows"]) == 0:
         return 0.0
-    sampled_c = payload["a_rows"] @ b
+    sampled_c = exact_matmul(payload["a_rows"], b)
     if p == 0:
         row_pp = np.count_nonzero(sampled_c, axis=1).astype(float)
     else:
@@ -156,7 +157,7 @@ def _round2_site_task(
     ``(site_total, payload-or-None, round2_bits)``.
     """
     a = np.asarray(a)
-    c_tilde = a @ sketched_bt.T
+    c_tilde = exact_matmul(a, sketched_bt.T)
     row_estimates = np.maximum(
         np.asarray(sketch.estimate_rows_pp(c_tilde), dtype=float), 0.0
     )

@@ -80,6 +80,7 @@ from repro.engine.runtime import (
 )
 from repro.sketch.ams import AmsSketch
 from repro.sketch.countsketch import CountSketch
+from repro.sketch.kernels import exact_matmul
 from repro.sketch.l0_sampler import L0Sampler
 from repro.sketch.l0_sketch import L0Sketch
 from repro.sketch import shm as _shm
@@ -1292,7 +1293,7 @@ class StreamingSession(EstimatorBase):
         l0: L0Sketch = self.merged["l0"]  # type: ignore[assignment]
         if l0.state is None:
             return 0.0
-        sketched_c = l0.state @ self._b_exact
+        sketched_c = exact_matmul(l0.state, self._b_exact)
         column_l0 = np.maximum(l0.estimate_rows_pp(sketched_c.T), 0.0)
         return float(column_l0.sum())
 
@@ -1306,8 +1307,8 @@ class StreamingSession(EstimatorBase):
         output, _ = finish_l0_sample(
             self.templates["l0"],
             self.templates["sampler"],
-            l0.state @ b_int,
-            sampler.state @ b_int,
+            exact_matmul(l0.state, b_int),
+            exact_matmul(sampler.state, b_int),
             self._live_rng,
         )
         return output

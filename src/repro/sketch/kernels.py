@@ -1,7 +1,7 @@
 """Shared vectorized kernels behind every sketch family's hot path.
 
-Four building blocks, used by CountSketch/Count-Min, AMS, the ``l_0``
-sketch and the ``l_0`` sampler:
+Five building blocks, used by CountSketch/Count-Min, AMS, the ``l_0``
+sketch and the ``l_0`` sampler, and by the protocols' exact products:
 
 **Lazy stacked hashing** (:class:`StackedKWiseHash`).  Instead of
 precomputing dense ``O(universe x depth)`` bucket/sign tables at
@@ -53,6 +53,19 @@ addition wraps mod ``2^64``, hence is associative and commutative, so this
 summation order gives the same bytes as the batch-order expanded scatter.
 The same trick does not pay for the ``l_0`` sketch, whose
 ``(levels + 1) x buckets`` groups outnumber the rows of a typical batch.
+
+**Exact integer products** (:func:`exact_matmul`).  NumPy's int64 ``@``
+does not use BLAS, but the protocols' exact products fit float64: if
+``inner * max|x| * max|y| < 2^53``, every partial sum is an integer below
+``2^53`` in magnitude, which float64 holds exactly, so no summation order
+and no FMA can round one.  Measured with OpenBLAS 0.3.31 on a 2-CPU x86-64
+host, the float route wins from ``2^15`` multiply-adds (``2^14``: 10.6 us
+on the int64 loop vs 13.1 us; ``2^15``: 20.0 vs 14.9 us).  A gemm of
+``2^19`` multiply-adds stays on the calling thread (CPU/wall 1.00) but one
+of ``2^20`` uses two (2.2), and spinning BLAS threads slow the co-located
+service processes, hence row blocks of at most ``2^18``.  A site's
+512 x 128 shard times the 128 x 216 ``l_0`` sketch of ``B``: 8.0 ms on the
+int64 loop, 0.85 ms on the float route.
 """
 
 from __future__ import annotations
@@ -73,6 +86,7 @@ __all__ = [
     "StackedKWiseHash",
     "bincount_rows",
     "count_alive_levels",
+    "exact_matmul",
     "expand_levels",
     "nested_level_sums",
     "scatter_add_scalar",
@@ -81,6 +95,11 @@ __all__ = [
 
 #: Usable sign bits per hash value (the field is 61 bits wide).
 _BITS_PER_HASH = 61
+
+#: Smallest product (multiply-adds) that :func:`exact_matmul` sends to BLAS.
+_BLAS_MIN_MACS = 1 << 15
+#: Largest gemm (multiply-adds) per row block: OpenBLAS keeps it on one thread.
+_BLAS_BLOCK_MACS = 1 << 18
 
 
 class StackedKWiseHash:
@@ -373,3 +392,42 @@ def nested_level_sums(
     # suffix[c] = sum of per_count[c:]; level g keeps every count > g.
     suffix = np.cumsum(per_count[::-1], axis=0)[::-1]
     return suffix[1:]
+
+
+def exact_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y`` with the same dtype and bytes, on float64 BLAS where exact.
+
+    Only 2-D integer operands whose int64 product has at least
+    ``_BLAS_MIN_MACS`` multiply-adds and meets the ``2^53`` bound (see the
+    module docstring) take BLAS; everything else is plain ``x @ y``.
+    """
+    if (
+        x.ndim == 2
+        and y.ndim == 2
+        and x.dtype.kind in "iu"
+        and y.dtype.kind in "iu"
+        and np.result_type(x, y) == np.int64
+        and x.shape[1] == y.shape[0]
+        and x.shape[0] * y.size >= _BLAS_MIN_MACS
+        and x.shape[1] * _max_abs(x) * _max_abs(y) < 2**53
+    ):
+        return _blas_matmul(x, y)
+    return x @ y
+
+
+def _max_abs(a: np.ndarray) -> int:
+    """``max |a|`` as a Python int (exact even for the int64 minimum)."""
+    return max(int(a.max()), -int(a.min()))
+
+
+def _blas_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Float64 gemms over row blocks of at most ``_BLAS_BLOCK_MACS``
+    multiply-adds, cast back to int64.  Operands are made C-contiguous: each
+    block's gemm would repack a transposed ``y``, doubling the time."""
+    y_float = np.ascontiguousarray(y, dtype=np.float64)
+    out = np.empty((x.shape[0], y.shape[1]), dtype=np.int64)
+    step = max(1, _BLAS_BLOCK_MACS // y.size)
+    for start in range(0, x.shape[0], step):
+        block = np.ascontiguousarray(x[start : start + step], dtype=np.float64)
+        out[start : start + step] = block @ y_float
+    return out

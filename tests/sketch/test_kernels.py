@@ -1,15 +1,18 @@
 """Unit tests for the shared sketch kernel layer.
 
-The kernels promise three things: lazy stacked hashing is *bit-identical*
+The kernels promise four things: lazy stacked hashing is *bit-identical*
 to the per-row ``KWiseHash`` members it replaced, fused scatters equal
-their naive per-row references, and the level-expansion machinery inverts
+their naive per-row references, the level-expansion machinery inverts
 the layered-subsampling membership exactly (the nested-level suffix sums
-equal the expanded scatter byte for byte).  The vectorized ``L0Sampler``
-recovery and the reshape-based AMS estimators are checked against
-faithful reimplementations of the historical Python loops.
+equal the expanded scatter byte for byte), and ``exact_matmul`` equals
+``x @ y`` byte for byte on whichever route it takes.  The vectorized
+``L0Sampler`` recovery and the reshape-based AMS estimators are checked
+against faithful reimplementations of the historical Python loops.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,13 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.sketch import AmsSketch, L0Sampler
+from repro.sketch import AmsSketch, L0Sampler, kernels
 from repro.sketch.hashing import KWiseHash, PRIME_61
 from repro.sketch.kernels import (
     BitSignHash,
     StackedKWiseHash,
     bincount_rows,
     count_alive_levels,
+    exact_matmul,
     expand_levels,
     nested_level_sums,
     scatter_add_scalar,
@@ -264,6 +268,184 @@ class TestNestedLevelSums:
         weights = np.array([top, top, top, -top, 1], dtype=np.int64)
         got = nested_level_sums(counts, weights, 2)
         assert got.tobytes() == expanded_scatter(counts, weights, 2).tobytes()
+
+
+GATE = kernels._BLAS_MIN_MACS
+INT64 = np.iinfo(np.int64)
+
+
+def matmul_route(x: np.ndarray, y: np.ndarray) -> str:
+    """Check ``exact_matmul(x, y)`` against ``x @ y`` byte for byte and name
+    the route it took: ``"blas"`` (float64 row blocks) or ``"matmul"``."""
+    with mock.patch.object(kernels, "_blas_matmul", wraps=kernels._blas_matmul) as blas:
+        got = exact_matmul(x, y)
+    want = x @ y
+    assert type(got) is type(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    return "blas" if blas.called else "matmul"
+
+
+def random_ints(seed: int, shape: tuple, bound: int) -> np.ndarray:
+    """int64 entries in ``[-bound, bound]``, with ``bound`` itself present
+    (the route's magnitude check reads the exact maximum)."""
+    out = np.random.default_rng(seed).integers(-bound, bound, size=shape, endpoint=True)
+    if out.size:
+        out.flat[0] = bound
+    return out
+
+
+class TestExactMatmul:
+    """``exact_matmul`` equals ``x @ y`` in dtype and bytes on every route."""
+
+    @given(
+        rows=st.integers(0, 64),
+        inner=st.integers(1, 32),
+        cols=st.integers(0, 64),
+        bound=st.sampled_from([0, 1, 10, 1 << 20]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_gate_sends_only_products_of_at_least_2_15_macs_to_blas(
+        self, rows, inner, cols, bound, seed
+    ):
+        x = random_ints(seed, (rows, inner), bound)
+        y = random_ints(seed + 1, (inner, cols), bound)
+        expected = "blas" if rows * inner * cols >= GATE else "matmul"
+        assert matmul_route(x, y) == expected
+
+    @pytest.mark.parametrize("macs", [GATE - 1, GATE])
+    def test_gate_boundary(self, macs):
+        """``macs`` rows of one multiply-add each: exactly at and below the gate."""
+        x = random_ints(3, (macs, 1), 5)
+        y = random_ints(4, (1, 1), 5)
+        assert matmul_route(x, y) == ("blas" if macs >= GATE else "matmul")
+
+    @given(
+        inner=st.integers(32, 160),
+        cols=st.integers(32, 232),
+        blocks=st.integers(2, 5),
+        extra=st.integers(0, 7),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_multi_block_products(self, inner, cols, blocks, extra, seed):
+        """More rows than one ``_BLAS_BLOCK_MACS`` block holds, ragged tail."""
+        block_rows = max(1, kernels._BLAS_BLOCK_MACS // (inner * cols))
+        rows = blocks * block_rows + extra % block_rows
+        assert rows > block_rows
+        x = random_ints(seed, (rows, inner), 1 << 20)
+        y = random_ints(seed + 1, (inner, cols), 1 << 12)
+        assert matmul_route(x, y) == "blas"
+
+    def test_rows_wider_than_a_block_run_one_row_at_a_time(self):
+        inner, cols = 600, 600  # one row is already > _BLAS_BLOCK_MACS
+        x = random_ints(5, (3, inner), 1000)
+        y = random_ints(6, (inner, cols), 1000)
+        assert matmul_route(x, y) == "blas"
+
+    @given(
+        inner=st.integers(8, 64),
+        y_max=st.integers(1, 1 << 20),
+        above=st.booleans(),
+        negate=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_magnitudes_just_below_and_just_above_2_53(
+        self, inner, y_max, above, negate, seed
+    ):
+        """``inner * max|x| * max|y|`` one step either side of ``2^53``.
+
+        Row 0 of ``x`` and column 0 of ``y`` hold the maxima, so output
+        entry ``(0, 0)`` *is* the bound: the largest sum the float route
+        may ever meet, or (above) one that float64 could round.
+        """
+        x_max = (2**53 - 1) // (inner * y_max) + int(above)
+        x = random_ints(seed, (64, inner), x_max)
+        y = random_ints(seed + 1, (inner, 64), y_max)
+        x[0, :] = -x_max if negate else x_max
+        y[:, 0] = y_max
+        assert (inner * x_max * y_max >= 2**53) == above
+        assert matmul_route(x, y) == ("matmul" if above else "blas")
+
+    @given(
+        x=hnp.arrays(np.int64, (32, 32), elements=st.integers(INT64.min, INT64.max)),
+        y=hnp.arrays(np.int64, (32, 32), elements=st.integers(INT64.min, INT64.max)),
+        big=st.integers(INT64.min, -(2**53)) | st.integers(2**53, INT64.max),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_full_range_int64_wraps_on_the_int64_loop(self, x, y, big):
+        """Entries past ``2^53``: products wrap mod ``2^64`` in int64, where
+        float64 would round instead, so they must stay on the int64 loop."""
+        x[0, 0] = big
+        y[0, 0] = y[0, 0] or 1
+        assert matmul_route(x, y) == "matmul"
+
+    def test_int64_minimum_is_not_mistaken_for_a_small_value(self):
+        """``np.abs`` of the int64 minimum is negative; the bound must not be."""
+        x = np.zeros((32, 32), dtype=np.int64)
+        x[5, 7] = INT64.min
+        y = np.ones((32, 32), dtype=np.int64)
+        assert matmul_route(x, y) == "matmul"
+
+    @pytest.mark.parametrize(
+        "x_dtype, y_dtype, route",
+        [
+            (np.int32, np.int32, "matmul"),
+            (np.uint8, np.uint8, "matmul"),
+            (np.uint64, np.uint64, "matmul"),
+            (np.int64, np.uint64, "matmul"),  # promotes to float64
+            (np.bool_, np.bool_, "matmul"),
+            (np.float64, np.float64, "matmul"),
+            (np.int64, np.float64, "matmul"),
+            (np.int32, np.int64, "blas"),  # promotes to int64
+            (np.uint32, np.int64, "blas"),
+            (np.int8, np.uint32, "blas"),
+        ],
+    )
+    def test_dtypes(self, x_dtype, y_dtype, route):
+        x = np.abs(random_ints(7, (64, 48), 100)).astype(x_dtype)
+        y = np.abs(random_ints(8, (48, 64), 100)).astype(y_dtype)
+        assert matmul_route(x, y) == route
+
+    def test_one_dimensional_operands_use_plain_matmul(self):
+        x = random_ints(9, (256, 256), 50)
+        v = random_ints(10, (256,), 50)
+        assert matmul_route(x, v) == "matmul"
+        assert matmul_route(v, x) == "matmul"
+        assert matmul_route(v, v[:, None]) == "matmul"
+
+    @pytest.mark.parametrize(
+        "view",
+        [
+            lambda x, y: (x[:, np.arange(90) % 3 != 1], y[np.arange(90) % 3 != 1]),
+            lambda x, y: (x, np.ascontiguousarray(y.T).T),
+            lambda x, y: (x[::2], y[:, ::3]),
+            lambda x, y: (np.asfortranarray(x), np.asfortranarray(y)),
+            lambda x, y: (x[:, ::-1], y[::-1]),
+        ],
+        ids=["column-mask", "transposed", "strided", "fortran", "reversed"],
+    )
+    def test_non_contiguous_views(self, view):
+        x = random_ints(11, (96, 90), 1 << 16)
+        y = random_ints(12, (90, 96), 1 << 16)
+        x, y = view(x, y)
+        assert matmul_route(x, y) == "blas"
+
+    @pytest.mark.parametrize(
+        "x_shape, y_shape",
+        [((0, 64), (64, 64)), ((64, 0), (0, 64)), ((64, 64), (64, 0))],
+    )
+    def test_empty_operands(self, x_shape, y_shape):
+        x = np.zeros(x_shape, dtype=np.int64)
+        y = np.zeros(y_shape, dtype=np.int64)
+        assert matmul_route(x, y) == "matmul"
+
+    def test_mismatched_inner_dimensions_raise_like_matmul(self):
+        x = random_ints(13, (64, 64), 3)
+        with pytest.raises(ValueError):
+            exact_matmul(x, random_ints(14, (63, 64), 3))
 
 
 def reference_sample(sampler: L0Sampler, sketched: np.ndarray):
