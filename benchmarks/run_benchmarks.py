@@ -9,7 +9,7 @@ output, so these numbers are pure wall-clock comparisons.
 
 With ``--tree`` it benchmarks hierarchical aggregation (ISSUE 10): the same
 per-site upload round drained through :class:`~repro.comm.network
-.TreeNetwork` overlays of growing fan-out vs the flat star, recording drain
+.Network` aggregation trees of growing fan-out vs the flat star, recording drain
 wall-clock, aggregator merge time, root-ingress bits and the simulated
 tree-model makespan per (k, fan-out) cell, appended to
 ``benchmarks/BENCH_tree.json`` — root estimates are bit-identical by
@@ -605,7 +605,7 @@ def bench_tree(metrics: dict) -> None:
     ``makespan_s`` comparison is honest.
     """
     from repro.comm.conditions import LinkModel, NetworkConditions
-    from repro.comm.network import TreeNetwork
+    from repro.comm.network import Network
     from repro.comm.tree import TreeSpec
 
     k_values = (100, 1_000) if SMOKE else (100, 1_000, 10_000)
@@ -627,7 +627,7 @@ def bench_tree(metrics: dict) -> None:
             last = {}
 
             def one_round():
-                network = TreeNetwork(tree, conditions=conditions)
+                network = Network(names, conditions=conditions, tree=tree)
                 for name in names:
                     network.send(
                         name, tree.root, summary, label="partial", bits=per_site_bits

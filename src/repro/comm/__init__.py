@@ -15,9 +15,12 @@ k-site generalization:
   payload cost" is defined, so the accounting assumptions are auditable.
 * :mod:`repro.comm.accounting` — the message log and direction-flip round
   counter shared by every metered transport.
-* :class:`repro.comm.network.Network` — the star-topology transport (k
-  sites around a coordinator) with per-link and aggregate meters; the one
-  physical transport in the repo.
+* :class:`repro.comm.network.Network` — the one in-process network (k
+  sites around a coordinator, routed over the flat star or an aggregation
+  :class:`~repro.comm.tree.TreeSpec`) with per-edge and aggregate meters.
+  Built without a ``tree=`` it prices makespans with links in parallel,
+  with one (the flat spec included) with serialized fan-in.
+  ``TreeNetwork`` is another name for the same class.
 * :mod:`repro.comm.protocol` — the :class:`~repro.comm.protocol.CostReport`
   / :class:`~repro.comm.protocol.ProtocolResult` containers the two-party
   driver (:meth:`repro.engine.base.StarProtocol.run_two_party`) returns.

@@ -8,13 +8,20 @@ model to every link of a star (one default plus per-site overrides) and
 also carries the *fault scenario* — which sites are declared dropped — so
 a whole experimental condition travels as one object.
 
-Makespan model
---------------
-Links of a star transfer **in parallel**, and the round structure of the
-message log is exactly the synchronization structure of the protocol: all
-messages of one round could be in flight simultaneously, but round ``r+1``
-cannot start before every link of round ``r`` has delivered (the hub needs
-the uploads before it can reply, and vice versa).  So the simulated
+Makespan models
+---------------
+Two models exist; :meth:`repro.comm.network.Network.simulate` picks
+:func:`simulate_makespan` for a network built without a ``tree=`` and
+:func:`simulate_tree_makespan` for one built with any spec, the flat star
+included.  Under finite bandwidth they price the same flat transcript
+differently (the tree model serializes the root's fan-in).
+
+Under :func:`simulate_makespan` links transfer **in parallel**, and the
+round structure of the message log is exactly the synchronization structure
+of the protocol: all messages of one round could be in flight
+simultaneously, but round ``r+1`` cannot start before every link of round
+``r`` has delivered (the hub needs the uploads before it can reply, and
+vice versa).  So the simulated
 makespan is the critical path over rounds::
 
     makespan = sum over rounds r of  max over links s active in r of
@@ -124,8 +131,9 @@ class NetworkConditions:
         Per-*region* link models for aggregation trees, keyed by
         aggregator name: an edge without an exact override inherits the
         model of its nearest enclosing region aggregator before falling
-        back to ``default``.  Star networks reject non-empty regions (they
-        have no aggregators); see :class:`repro.comm.network.TreeNetwork`.
+        back to ``default``.  A network rejects regions that name none of
+        its aggregators, so the flat star rejects every region; see
+        :class:`repro.comm.network.Network`.
     """
 
     def __init__(
@@ -302,7 +310,7 @@ def simulate_tree_makespan(
                 child = message.sender
             elif tree.parent.get(message.receiver) == message.sender:
                 child = message.receiver
-            else:  # pragma: no cover - guarded by TreeNetwork routing
+            else:  # pragma: no cover - guarded by Network routing
                 raise ValueError(
                     f"message {message.sender!r} -> {message.receiver!r} "
                     "travels no edge of the tree"

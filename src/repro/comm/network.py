@@ -1,33 +1,49 @@
-"""Star-topology metered network: k sites around one coordinator.
+"""The metered in-process network: k sites, optional aggregators, one root.
 
-This is the repo's one physical transport.  The k-party generalization of
-the classic two-party channel for the coordinator model of distributed
-functional monitoring: messages only travel between a site and the
-coordinator (the star's hub) — sites never talk to each other directly,
+This is the repo's one in-process transport.  It is the k-party
+generalization of the classic two-party channel for the coordinator model
+of distributed functional monitoring: every message has the coordinator
+(the root) as one endpoint — sites never talk to each other directly,
 matching the model in the literature.  The two-party model is this class
-with a single site (Alice) and the hub playing Bob:
+with a single site (Alice) and the root playing Bob:
 ``Network(["alice"], coordinator_name="bob")``.
+
+Messages travel along the edges of a :class:`~repro.comm.tree.TreeSpec`.
+Without a ``tree=`` the spec is :meth:`TreeSpec.flat`, every site a direct
+child of the coordinator: the classic star.  A deeper spec adds interior
+**aggregators**: upstream payloads stage at their parent aggregator and
+drain bottom-up as one forwarded message per sibling group, so the root's
+fan-in is the fan-out instead of k (see :class:`Network`).
 
 Accounting contract (via the shared
 :class:`repro.comm.accounting.MessageLog`):
 
 * an *aggregate* log meters ``total_bits``, ``rounds``, ``bits_by_label``
-  and ``bits_per_round`` across the whole star.  Its round counter flips on
-  the up/down *direction*: k sites uploading back-to-back share one round
-  (they could do so in parallel), while a coordinator reply opens a new one.
-  With a single site this reduces exactly to the two-party definition.
-* a *per-link* log per site meters the same quantities restricted to that
-  coordinator-site link, with the two-party (sender-flip) round semantics.
-  ``max_link_bits`` — the busiest link — is a *lower bound* ingredient of
-  the simulated makespan when links transfer in parallel.
+  and ``bits_per_round`` across the whole network.  Its round counter flips
+  on the up/down *direction*: k sites uploading back-to-back share one
+  round (they could do so in parallel), while a coordinator reply opens a
+  new one.  With a single site this reduces exactly to the two-party
+  definition.
+* a *per-link* log per tree edge, keyed by the edge's child endpoint (a
+  site or an aggregator), meters the same quantities restricted to that
+  edge, with the two-party (sender-flip) round semantics.
+  ``max_link_bits`` is the busiest edge.
 
 A network optionally carries :class:`repro.comm.conditions
 .NetworkConditions` (per-link latency/bandwidth/jitter models); the
-recorded transcript is then priced into a simulated **makespan** — the
-critical-path time over rounds, links in parallel — via :meth:`Network
-.makespan` / :meth:`Network.makespan_per_round`.  Under the default ideal
-conditions both report zeros and nothing about the bit/round meters
-changes.
+recorded transcript is then priced into a simulated **makespan** via
+:meth:`Network.simulate`.  Two models exist, chosen by how the network was
+built:
+
+* without a ``tree=``, :func:`~repro.comm.conditions.simulate_makespan`:
+  per round, the links transfer in parallel and the slowest gates it;
+* with any ``tree=``, the flat spec included,
+  :func:`~repro.comm.conditions.simulate_tree_makespan`: fan-in serializes
+  per receiver, and levels are sequential.
+
+Under finite bandwidth the two price the same flat transcript differently.
+Under the default ideal conditions both report zeros and nothing about the
+bit/round meters changes.
 """
 
 from __future__ import annotations
@@ -49,193 +65,6 @@ from repro.comm.tree import TreeSpec
 #: Direction keys for the aggregate round counter.
 UPSTREAM = "up"
 DOWNSTREAM = "down"
-
-
-class Network:
-    """In-process star network with per-link and aggregate accounting.
-
-    Parameters
-    ----------
-    site_names:
-        Names of the k leaf sites (order fixes the site indexing).
-    coordinator_name:
-        Name of the hub endpoint.
-    conditions:
-        Optional per-link timing models (defaults to ideal links: zero
-        latency, infinite bandwidth — makespan 0).
-    """
-
-    def __init__(
-        self,
-        site_names: Sequence[str],
-        coordinator_name: str = "coordinator",
-        *,
-        conditions: NetworkConditions | None = None,
-    ) -> None:
-        site_names = list(site_names)
-        if not site_names:
-            raise ValueError("a star network needs at least one site")
-        if len(set(site_names)) != len(site_names):
-            raise ValueError("site names must be unique")
-        if coordinator_name in site_names:
-            raise ValueError("the coordinator cannot double as a site")
-        self.coordinator_name = coordinator_name
-        self.site_names = site_names
-        self.conditions = conditions if conditions is not None else NetworkConditions()
-        self._validate_conditions()
-        self.links: dict[str, MessageLog] = {name: MessageLog() for name in site_names}
-        self.log = MessageLog()
-
-    def _validate_conditions(self) -> None:
-        """Reject condition objects that name no endpoint of this network."""
-        unknown = (
-            set(self.conditions.overrides)
-            - set(self.site_names)
-            - self.conditions.dropped
-        )
-        if unknown:
-            # A link override that names no site would be silently priced as
-            # the default model — a typo'd straggler scenario must fail loud,
-            # like unknown dropped-site declarations do.  Overrides for sites
-            # the conditions themselves declare dropped are legitimate: the
-            # protocol driver excludes those sites before wiring the star.
-            raise ValueError(
-                f"link-model overrides {sorted(unknown)} match no site of "
-                f"this star (sites: {self.site_names})"
-            )
-        if self.conditions.regions:
-            raise ValueError(
-                "per-region conditions only apply to tree networks "
-                "(a flat star has no aggregators)"
-            )
-
-    # ------------------------------------------------------------------ send
-    def send(
-        self,
-        sender: str,
-        receiver: str,
-        payload: Any,
-        *,
-        label: str = "",
-        bits: int | None = None,
-        universe: int | None = None,
-    ) -> Any:
-        """Record a message on one coordinator-site link and deliver it.
-
-        Exactly one of ``sender`` / ``receiver`` must be the coordinator —
-        the star has no site-to-site links.  ``bits`` defaults to
-        :func:`repro.comm.bitcost.bits_for_payload` like the two-party
-        channel.
-        """
-        if sender == receiver:
-            raise ValueError("sender and receiver must differ")
-        if self.coordinator_name not in (sender, receiver):
-            raise ValueError(
-                f"star topology: one endpoint must be {self.coordinator_name!r} "
-                f"(got {sender!r} -> {receiver!r})"
-            )
-        direction = DOWNSTREAM if sender == self.coordinator_name else UPSTREAM
-        site = receiver if direction == DOWNSTREAM else sender
-        if site not in self.links:
-            raise ValueError(f"unknown site {site!r}; expected one of {self.site_names}")
-        if bits is None:
-            bits = bitcost.bits_for_payload(payload, universe=universe)
-        self.log.record(sender, receiver, payload, label=label, bits=bits, direction_key=direction)
-        self.links[site].record(sender, receiver, payload, label=label, bits=bits)
-        return payload
-
-    def broadcast(
-        self,
-        payload: Any,
-        *,
-        label: str = "",
-        bits: int | None = None,
-        sites: Iterable[str] | None = None,
-    ) -> Any:
-        """Send ``payload`` from the coordinator to every site (one round).
-
-        ``bits`` is the per-link cost of the payload (each link carries its
-        own copy).  All copies travel downstream, so a broadcast occupies a
-        single aggregate round regardless of k.
-
-        The payload is priced (and, on wire transports, encoded) **once**
-        and the result reused for every child — the copies are identical,
-        so per-link re-encoding was pure CPU waste at high fan-out.  The
-        meters are unchanged: same bits charged on every link.
-        """
-        if bits is None:
-            bits = bitcost.bits_for_payload(payload)
-        for site in self.site_names if sites is None else sites:
-            self.send(self.coordinator_name, site, payload, label=label, bits=bits)
-        return payload
-
-    # ------------------------------------------------------------ accounting
-    @property
-    def total_bits(self) -> int:
-        """Total bits over all links."""
-        return self.log.total_bits
-
-    @property
-    def rounds(self) -> int:
-        """Aggregate rounds (up/down direction flips)."""
-        return self.log.rounds
-
-    def bits_sent_by(self, sender: str) -> int:
-        """Total bits sent by one endpoint (a site or the coordinator)."""
-        return self.log.bits_sent_by(sender)
-
-    def bits_by_label(self) -> dict[str, int]:
-        """Total bits grouped by message label, over all links."""
-        return self.log.bits_by_label()
-
-    def bits_per_round(self) -> dict[int, int]:
-        """Total bits grouped by aggregate round index."""
-        return self.log.bits_per_round()
-
-    def link(self, site_name: str) -> MessageLog:
-        """The per-link meter for one coordinator-site link."""
-        return self.links[site_name]
-
-    def link_bits(self) -> dict[str, int]:
-        """Per-site link load: total bits on each coordinator-site link."""
-        return {name: meter.total_bits for name, meter in self.links.items()}
-
-    @property
-    def max_link_bits(self) -> int:
-        """Load of the busiest coordinator-site link."""
-        return max(meter.total_bits for meter in self.links.values())
-
-    # ------------------------------------------------------------- simulation
-    def simulate(self) -> tuple[float, dict[int, float]]:
-        """Price the recorded transcript: ``(makespan, per-round makespans)``.
-
-        Critical path over rounds under :attr:`conditions`: per round, link
-        bursts transfer in parallel and the slowest link gates the round;
-        rounds are sequential.  Ideal conditions price every transcript at
-        0.0 seconds (per round too) without running the simulation.  Cost
-        reports call this once and read both values.
-        """
-        if self.conditions.is_ideal():
-            return 0.0, {round_index: 0.0 for round_index in self.log.bits_per_round()}
-        return simulate_makespan(
-            self.log.per_round(), self.conditions, self.coordinator_name
-        )
-
-    def makespan(self) -> float:
-        """Simulated end-to-end seconds of the recorded transcript."""
-        total, _ = self.simulate()
-        return total
-
-    def makespan_per_round(self) -> dict[int, float]:
-        """Simulated seconds per aggregate round (keys match bits_per_round)."""
-        _, per_round = self.simulate()
-        return per_round
-
-    def reset(self) -> None:
-        """Clear all recorded traffic on every link."""
-        self.log.reset()
-        for meter in self.links.values():
-            meter.reset()
 
 
 def _payloads_mergeable(payloads: Sequence[Any]) -> bool:
@@ -285,73 +114,110 @@ def merge_payload_group(payloads: Sequence[Any]) -> Any:
     return merged
 
 
-class TreeNetwork(Network):
-    """Metered aggregation tree: sites -> interior aggregators -> root.
+class Network:
+    """In-process metered network routed along an aggregation tree.
 
-    Routing overlay over the same protocol API as the star: endpoints
-    still address the coordinator (``send(site, coordinator, ...)``), and
-    the network routes each message along the tree edges of a
-    :class:`~repro.comm.tree.TreeSpec`.  Upstream payloads **stage** at
-    their parent aggregator; when the direction flips (or any meter is
-    read) staged sibling groups drain bottom-up, and each aggregator
-    forwards ONE message per label upstream:
+    Endpoints address the coordinator (``send(site, coordinator, ...)``)
+    whatever the shape, and the network routes each message along the
+    edges of :attr:`tree`.  Upstream payloads **stage** at their parent
+    aggregator; when the direction flips (or any meter is read) staged
+    sibling groups drain bottom-up, and each aggregator forwards ONE
+    message per label upstream:
 
     * a genuinely merged summary (bits = the largest child burst) when the
       group is exact-mergeable (see :func:`merge_payload_group`), or
     * the batched group (bits = sum of child bursts) otherwise.
 
-    Either way the root's fan-in is ``fan_out`` messages per round instead
-    of k, which is the entire point.  Aggregators never touch payload
-    *semantics* — protocol bodies use their local variables (the in-process
-    network is a metering device that returns the payload), so root
-    estimates are bit-identical to the flat star by construction.
+    Aggregators never touch payload *semantics* — protocol bodies use their
+    local variables (the in-process network is a metering device that
+    returns the payload), so root estimates are the same on every shape.
+    The flat star has no aggregators, so nothing stages and every message
+    is one hop.
 
-    Accounting: :attr:`links` gains one :class:`~repro.comm.accounting
-    .MessageLog` per tree edge, keyed by the child endpoint (leaf edges
-    under site names, interior edges under aggregator names);
-    ``max_link_bits`` is the busiest edge.  The makespan is priced by
-    :func:`repro.comm.conditions.simulate_tree_makespan` — serialized
-    fan-in per receiver, levels sequential — not the flat-star model.
-
-    ``merge_runtime`` optionally fans each level's merge groups through a
-    :class:`repro.engine.runtime.Runtime` executor (serial by default);
-    :attr:`merge_seconds` accumulates the aggregation wall-clock either
-    way, which is what the scaling benchmark charts.
+    Parameters
+    ----------
+    site_names:
+        Names of the k leaf sites (order fixes the site indexing).
+    coordinator_name:
+        Name of the root endpoint.
+    conditions:
+        Optional per-link timing models (defaults to ideal links: zero
+        latency, infinite bandwidth — makespan 0).
+    tree:
+        Optional :class:`~repro.comm.tree.TreeSpec` whose leaves are
+        exactly ``site_names`` (in order) and whose root is
+        ``coordinator_name``.  ``None`` routes over ``TreeSpec.flat`` and
+        keeps the parallel-links makespan model (see the module docstring).
+    merge_runtime:
+        Optionally fans each drain level's merge groups through a
+        :class:`repro.engine.runtime.Runtime` executor (serial by default);
+        :attr:`merge_seconds` accumulates the aggregation wall-clock either
+        way, which is what the scaling benchmark charts.
     """
 
     def __init__(
         self,
-        tree: TreeSpec,
+        site_names: Sequence[str],
+        coordinator_name: str = "coordinator",
         *,
         conditions: NetworkConditions | None = None,
+        tree: TreeSpec | None = None,
         merge_runtime: Any | None = None,
     ) -> None:
-        self.tree = tree
-        super().__init__(tree.site_names, tree.root, conditions=conditions)
-        self._site_set = set(tree.site_names)
-        for agg in tree.aggregators:
-            self.links[agg] = MessageLog()
+        site_names = list(site_names)
+        if not site_names:
+            raise ValueError("a star network needs at least one site")
+        if len(set(site_names)) != len(site_names):
+            raise ValueError("site names must be unique")
+        if coordinator_name in site_names:
+            raise ValueError("the coordinator cannot double as a site")
+        if tree is not None:
+            tree.check_matches(site_names, coordinator_name)
+        self.coordinator_name = coordinator_name
+        self.site_names = site_names
+        self.tree = tree if tree is not None else TreeSpec.flat(
+            site_names, root=coordinator_name
+        )
+        # The one place the two makespan models differ (see simulate).
+        self._serialized_fan_in = tree is not None
+        self.conditions = conditions if conditions is not None else NetworkConditions()
+        self._validate_conditions()
+        self._site_set = set(site_names)
+        self.links: dict[str, MessageLog] = {
+            name: MessageLog() for name in site_names + self.tree.aggregators
+        }
+        self.log = MessageLog()
         self._staged: dict[str, list[tuple[str, Any, int]]] = {
-            agg: [] for agg in tree.aggregators
+            agg: [] for agg in self.tree.aggregators
         }
         self.merge_runtime = merge_runtime
         self.merge_seconds = 0.0
         self.merges = 0
 
     def _validate_conditions(self) -> None:
+        """Reject condition objects that name no endpoint of this network."""
         valid = set(self.site_names) | set(self.tree.aggregators)
         unknown = set(self.conditions.overrides) - valid - self.conditions.dropped
         if unknown:
+            # A link override that names no edge would be silently priced as
+            # the default model — a typo'd straggler scenario must fail loud,
+            # like unknown dropped-site declarations do.  Overrides for sites
+            # the conditions themselves declare dropped are legitimate: the
+            # protocol driver excludes those sites before wiring the network.
             raise ValueError(
                 f"link-model overrides {sorted(unknown)} match no edge of "
-                f"this tree (sites + aggregators: {sorted(valid)})"
+                f"this network (sites + aggregators: {sorted(valid)})"
             )
         bad_regions = set(self.conditions.regions) - set(self.tree.aggregators)
         if bad_regions:
             raise ValueError(
                 f"region conditions {sorted(bad_regions)} name no aggregator "
-                f"of this tree (aggregators: {self.tree.aggregators})"
+                f"of this network (aggregators: {self.tree.aggregators})"
             )
+
+    def _check_site(self, site: str) -> None:
+        if site not in self._site_set:
+            raise ValueError(f"unknown site {site!r}; expected one of {self.site_names}")
 
     # ------------------------------------------------------------------ send
     def send(
@@ -364,18 +230,25 @@ class TreeNetwork(Network):
         bits: int | None = None,
         universe: int | None = None,
     ) -> Any:
-        """Route one coordinator-addressed message along its tree path."""
+        """Route one coordinator-addressed message along its tree path.
+
+        Exactly one of ``sender`` / ``receiver`` must be the coordinator —
+        there are no site-to-site links.  ``bits`` defaults to
+        :func:`repro.comm.bitcost.bits_for_payload` like the two-party
+        channel.  A downstream message pays every edge of the root-to-site
+        path; an upstream one pays its leaf edge and stages at the parent
+        aggregator, if any.
+        """
         if sender == receiver:
             raise ValueError("sender and receiver must differ")
         if self.coordinator_name not in (sender, receiver):
             raise ValueError(
-                f"tree topology: one endpoint must be {self.coordinator_name!r} "
+                f"star topology: one endpoint must be {self.coordinator_name!r} "
                 f"(got {sender!r} -> {receiver!r})"
             )
         direction = DOWNSTREAM if sender == self.coordinator_name else UPSTREAM
         site = receiver if direction == DOWNSTREAM else sender
-        if site not in self._site_set:
-            raise ValueError(f"unknown site {site!r}; expected one of {self.site_names}")
+        self._check_site(site)
         if bits is None:
             bits = bitcost.bits_for_payload(payload, universe=universe)
         if direction == UPSTREAM:
@@ -396,16 +269,25 @@ class TreeNetwork(Network):
         bits: int | None = None,
         sites: Iterable[str] | None = None,
     ) -> Any:
-        """Broadcast along the tree: each needed edge carries ONE copy.
+        """Send ``payload`` from the coordinator to every site (one round).
 
-        A flat star pays k downstream copies; the tree pays one copy per
-        edge on the union of root-to-target paths — aggregators fan the
-        payload out locally.  The payload is priced once (encode-once).
+        ``bits`` is the per-edge cost of the payload.  Each needed edge
+        carries ONE copy: the flat star pays one copy per targeted site, a
+        deeper tree one per edge on the union of root-to-target paths
+        (aggregators fan the payload out locally).  All copies travel
+        downstream, so a broadcast occupies a single aggregate round.
+
+        Every target is checked before anything is metered, so an unknown
+        site leaves the meters untouched.  The payload is priced (and, on
+        wire transports, encoded) **once** and the result reused for every
+        edge — the copies are identical.
         """
+        targets = self.site_names if sites is None else list(sites)
+        for site in targets:
+            self._check_site(site)
         self._drain()
         if bits is None:
             bits = bitcost.bits_for_payload(payload)
-        targets = self.site_names if sites is None else list(sites)
         edges: list[str] = []
         seen: set[str] = set()
         for site in targets:
@@ -431,7 +313,8 @@ class TreeNetwork(Network):
         The streaming session uses this to ship *its own* aggregator-merged
         epoch deltas hop by hop (it re-encodes merged states and knows the
         exact wire bytes of every hop, so the generic staging above would
-        be wrong for it).
+        be wrong for it).  On a flat network a site's hop is its whole
+        upload, metered exactly as :meth:`send` would.
         """
         if child not in self.links:
             raise ValueError(f"unknown tree edge {child!r}")
@@ -516,38 +399,48 @@ class TreeNetwork(Network):
         self.merge_seconds += time.perf_counter() - started
 
     # ------------------------------------------------------------ accounting
+    # Every meter read drains staged uploads first, so it sees the forwarded
+    # aggregator messages too.
     @property
     def total_bits(self) -> int:
+        """Total bits over all edges."""
         self._drain()
         return self.log.total_bits
 
     @property
     def rounds(self) -> int:
+        """Aggregate rounds (up/down direction flips)."""
         self._drain()
         return self.log.rounds
 
     def bits_sent_by(self, sender: str) -> int:
+        """Total bits sent by one endpoint (a site, aggregator or the root)."""
         self._drain()
         return self.log.bits_sent_by(sender)
 
     def bits_by_label(self) -> dict[str, int]:
+        """Total bits grouped by message label, over all edges."""
         self._drain()
         return self.log.bits_by_label()
 
     def bits_per_round(self) -> dict[int, int]:
+        """Total bits grouped by aggregate round index."""
         self._drain()
         return self.log.bits_per_round()
 
     def link(self, site_name: str) -> MessageLog:
+        """The per-edge meter keyed by one child endpoint."""
         self._drain()
         return self.links[site_name]
 
     def link_bits(self) -> dict[str, int]:
+        """Per-edge load: total bits on each edge, keyed by its child."""
         self._drain()
         return {name: meter.total_bits for name, meter in self.links.items()}
 
     @property
     def max_link_bits(self) -> int:
+        """Load of the busiest edge."""
         self._drain()
         return max(meter.total_bits for meter in self.links.values())
 
@@ -566,15 +459,51 @@ class TreeNetwork(Network):
 
     # ------------------------------------------------------------- simulation
     def simulate(self) -> tuple[float, dict[int, float]]:
-        """Price the tree transcript: serialized fan-in, levels sequential."""
+        """Price the recorded transcript: ``(makespan, per-round makespans)``.
+
+        Rounds are sequential.  A network built without a ``tree=`` prices
+        each round's link bursts in parallel, the slowest link gating the
+        round (:func:`~repro.comm.conditions.simulate_makespan`); one built
+        with any spec, the flat one included, serializes fan-in per
+        receiver and runs levels sequentially
+        (:func:`~repro.comm.conditions.simulate_tree_makespan`).  Ideal
+        conditions price every transcript at 0.0 seconds (per round too)
+        without running the simulation.  Cost reports call this once and
+        read both values.
+        """
         self._drain()
         if self.conditions.is_ideal():
             return 0.0, {round_index: 0.0 for round_index in self.log.bits_per_round()}
-        return simulate_tree_makespan(self.log.per_round(), self.conditions, self.tree)
+        if self._serialized_fan_in:
+            return simulate_tree_makespan(
+                self.log.per_round(), self.conditions, self.tree
+            )
+        return simulate_makespan(
+            self.log.per_round(), self.conditions, self.coordinator_name
+        )
+
+    def makespan(self) -> float:
+        """Simulated end-to-end seconds of the recorded transcript."""
+        total, _ = self.simulate()
+        return total
+
+    def makespan_per_round(self) -> dict[int, float]:
+        """Simulated seconds per aggregate round (keys match bits_per_round)."""
+        _, per_round = self.simulate()
+        return per_round
 
     def reset(self) -> None:
+        """Clear all recorded traffic and staged uploads on every edge."""
         for agg in self._staged:
             self._staged[agg] = []
-        super().reset()
+        self.log.reset()
+        for meter in self.links.values():
+            meter.reset()
         self.merge_seconds = 0.0
         self.merges = 0
+
+
+#: Another name for :class:`Network`, which routes aggregation trees
+#: itself; kept so that code naming ``TreeNetwork``, such as the end-to-end
+#: benchmark's tracer, still resolves.
+TreeNetwork = Network

@@ -1,19 +1,20 @@
-"""Aggregation-tree shapes: the topology object behind hierarchical stars.
+"""Aggregation-tree shapes: the routing topology of every network.
 
 A :class:`TreeSpec` is a pure *shape*: leaves are the protocol sites, the
 root is the coordinator, and interior **aggregator** nodes group subtrees
-of sites.  It carries no state and meters nothing — the metered overlay
-lives in :class:`repro.comm.network.TreeNetwork`, and the wired endpoints
-in :class:`repro.engine.topology.TreeTopology`.  Keeping the shape separate
-means the same spec object can describe an in-process tree, a socket tree
-(service layer), and a streaming tree.
+of sites.  It carries no state and meters nothing — every network routes
+over one: the in-process :class:`repro.comm.network.Network` and the
+socket :class:`repro.service.transport.RemoteNetwork`, one-shot runs and
+streaming sessions alike.  Keeping the shape separate means the same spec
+object describes all of them.
 
 The flat star is the depth-1 special case (:meth:`TreeSpec.flat`): no
-aggregators, every site a direct child of the root.  :meth:`TreeSpec
-.regular` builds the balanced fan-out-``F`` tree used by the scaling
-experiments; :meth:`TreeSpec.from_grouping` accepts an arbitrary nested
-grouping of site indices, which is how the hypothesis property suite
-explores random shapes.
+aggregators, every site a direct child of the root; a network built
+without a spec routes over it.  :meth:`TreeSpec.regular` builds the
+balanced fan-out-``F`` tree used by the scaling experiments;
+:meth:`TreeSpec.from_grouping` accepts an arbitrary nested grouping of
+site indices, which is how the hypothesis property suite explores random
+shapes.
 """
 
 from __future__ import annotations
@@ -141,6 +142,34 @@ class TreeSpec:
             else:
                 keep.add(node)
         return [leaf for leaf in self.site_names if leaf in keep]
+
+    def check_matches(self, site_names: Sequence[str], root: str) -> None:
+        """Raise ``ValueError`` unless this tree's root is ``root`` and its
+        leaves are exactly ``site_names``, in site order."""
+        if self.root != root:
+            raise ValueError(
+                f"tree root {self.root!r} does not match the coordinator {root!r}"
+            )
+        if self.site_names != list(site_names):
+            raise ValueError(
+                "tree leaves must be exactly the site names, in site order "
+                f"(tree: {self.site_names}, sites: {list(site_names)})"
+            )
+
+    def expand_regions(self, names: Iterable[str]) -> frozenset[str]:
+        """``names`` with every aggregator replaced by its subtree's leaves.
+
+        A dropped aggregator stands for its whole region (a rack or region
+        failure).  The root and names this tree does not know pass through
+        unchanged, so the caller's "match no site" check still names them.
+        """
+        expanded: set[str] = set()
+        for name in names:
+            if name in self.children and name != self.root:
+                expanded.update(self.subtree_sites(name))
+            else:
+                expanded.add(name)
+        return frozenset(expanded)
 
     def describe(self) -> dict[str, Any]:
         """Structured summary for protocol details and experiment rows."""

@@ -10,7 +10,8 @@ Layout
 ------
 ``repro.engine.topology``
     :class:`Site` / :class:`Coordinator` endpoints and the
-    :class:`StarTopology` wiring (network + endpoints + seeded randomness).
+    :class:`StarTopology` wiring (network + endpoints + seeded randomness),
+    over the flat star or an aggregation tree.
 ``repro.engine.base``
     The :class:`StarProtocol` driver (``run`` for k shards,
     ``run_two_party`` for the Alice/Bob view) and the cost reports.
@@ -55,18 +56,15 @@ from repro.engine.robust import Adversary, FaultPlan, RobustPolicy
 from repro.engine.runtime import QuorumPolicy, Runtime, SiteDroppedError
 from repro.engine.streaming import EpochReport, StreamingSession
 from repro.engine.topology import (
-    Aggregator,
     Coordinator,
     Site,
     StarTopology,
-    TreeTopology,
     coerce_shards,
     normalize_tree,
 )
 
 __all__ = [
     "Adversary",
-    "Aggregator",
     "ClusterCostReport",
     "ClusterEstimator",
     "EpochReport",
@@ -80,7 +78,6 @@ __all__ = [
     "Site",
     "StarProtocol",
     "StarTopology",
-    "TreeTopology",
     "StarBinaryHeavyHittersProtocol",
     "StarExactL1Protocol",
     "StarGeneralMatrixLinfProtocol",

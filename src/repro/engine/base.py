@@ -39,13 +39,7 @@ from repro.comm.protocol import CostReport, ProtocolResult, split_protocol_outpu
 from repro.comm.transport import Transport
 from repro.comm.tree import TreeSpec
 from repro.engine.runtime import SERIAL_RUNTIME, Runtime
-from repro.engine.topology import (
-    Coordinator,
-    Site,
-    StarTopology,
-    TreeTopology,
-    normalize_tree,
-)
+from repro.engine.topology import Coordinator, Site, StarTopology, normalize_tree
 
 __all__ = ["ClusterCostReport", "StarProtocol", "two_party_cost"]
 
@@ -59,8 +53,9 @@ class ClusterCostReport:
     link.  ``max_link_bits`` alone does *not* bound the end-to-end time —
     latency and per-round synchronization do too — which is what the
     simulated ``makespan`` measures: the critical-path seconds over rounds
-    (links transfer in parallel within a round) under the network's
-    :class:`~repro.comm.conditions.NetworkConditions`.  ``makespan_per_round``
+    under the network's :class:`~repro.comm.conditions.NetworkConditions`
+    (links in parallel without a tree, serialized fan-in with one; see
+    :meth:`repro.comm.network.Network.simulate`).  ``makespan_per_round``
     aligns with ``per_round`` (same 1-based round keys); both are zero
     under the default ideal links.
     """
@@ -166,28 +161,18 @@ class StarProtocol:
             # Stragglers keep their link overrides but leave the sub-star,
             # exactly like pre-declared dropped sites.
             conditions = conditions.excluding(dropout_details["stragglers"])
-        if spec is None:
-            topology: StarTopology = StarTopology.build(
-                shards,
-                coordinator_data,
-                seed=self.seed,
-                site_names=site_names,
-                conditions=conditions,
-                transport=transport,
-            )
-        else:
-            if len(site_names) != len(spec.site_names):
-                spec = spec.restrict(site_names)
-            topology = TreeTopology.build_tree(
-                shards,
-                coordinator_data,
-                tree=spec,
-                seed=self.seed,
-                site_names=site_names,
-                conditions=conditions,
-                transport=transport,
-                merge_runtime=self.runtime,
-            )
+        if spec is not None and len(site_names) != len(spec.site_names):
+            spec = spec.restrict(site_names)
+        topology = StarTopology.build(
+            shards,
+            coordinator_data,
+            seed=self.seed,
+            site_names=site_names,
+            conditions=conditions,
+            transport=transport,
+            tree=spec,
+            merge_runtime=self.runtime,
+        )
         value, details = self._run_on(topology)
         details.setdefault("num_sites", topology.num_sites)
         if spec is not None:
@@ -261,15 +246,10 @@ class StarProtocol:
         contributor sets (``details["quorum"]``) and target the full mass.
         """
         dropped_names = conditions.dropped if conditions is not None else frozenset()
-        if tree is not None and dropped_names:
-            # Regional dropout: a dropped *aggregator* name declares every
-            # leaf of its subtree dropped (rack/region failure), on top of
-            # any individually dropped sites.
-            expanded = set(dropped_names)
-            for name in dropped_names:
-                if name in tree.children:
-                    expanded.update(tree.subtree_sites(name))
-            dropped_names = frozenset(expanded - set(tree.children))
+        if tree is not None:
+            # Regional dropout: a dropped aggregator name stands for every
+            # leaf of its subtree, on top of any individually dropped sites.
+            dropped_names = tree.expand_regions(dropped_names)
         surviving, dropped = self.runtime.partition_dropped(site_names, dropped_names)
         surviving_names = [site_names[i] for i in surviving]
         in_quorum, stragglers, quorum_details = self.runtime.partition_quorum(

@@ -62,7 +62,6 @@ import numpy as np
 
 from repro.comm import wire
 from repro.comm.conditions import NetworkConditions
-from repro.comm.network import Network, TreeNetwork
 from repro.comm.protocol import ProtocolResult
 from repro.comm.transport import IN_PROCESS, Transport
 from repro.comm.tree import TreeSpec
@@ -495,25 +494,17 @@ class StreamingSession(EstimatorBase):
         #: flat session (exact integer sketch states merge associatively).
         self.tree = normalize_tree(tree, site_names)
         builder = transport if transport is not None else IN_PROCESS
-        if self.tree is not None:
-            self.network = builder.build_network(
-                site_names, "coordinator", conditions, tree=self.tree
-            )
-        else:
-            self.network = builder.build_network(site_names, "coordinator", conditions)
+        self.network = builder.build_network(
+            site_names, "coordinator", conditions, tree=self.tree
+        )
         # The scenario's static dropped-site declarations become the initial
         # dynamic partition set, so epoch boundaries and one-shot queries see
         # one consistent fault state (restore_site reconnects either kind).
         if conditions is not None and conditions.dropped:
             index_of = {name: i for i, name in enumerate(site_names)}
-            dropped_names = set(conditions.dropped)
-            if self.tree is not None:
-                # Regional dropout: a dropped aggregator name declares every
-                # leaf of its subtree dropped, as in the one-shot driver.
-                for name in conditions.dropped:
-                    if name in self.tree.children and name != self.tree.root:
-                        dropped_names.discard(name)
-                        dropped_names.update(self.tree.subtree_sites(name))
+            # Regional dropout: a dropped aggregator name stands for every
+            # leaf of its subtree, as in the one-shot driver.
+            dropped_names = self.network.tree.expand_regions(conditions.dropped)
             unknown = dropped_names - set(index_of)
             if unknown:
                 raise ValueError(
@@ -1005,31 +996,18 @@ class StreamingSession(EstimatorBase):
         # the remaining sites' pending un-reset — the next boundary would
         # re-ship and double-merge them.  Send order stays site order, so
         # transcripts are unchanged.
-        tree_net = self.network if isinstance(self.network, TreeNetwork) else None
         for site, payload in on_time:
-            if tree_net is not None:
-                # First hop of the tree route: leaf -> its parent.  The
-                # aggregator relays (one merged bundle per interior edge)
-                # are recorded right after the leaf loop, bottom-up.
-                tree_net.upstream_hop(
-                    site.name,
-                    payload,
-                    label=DELTA_LABEL,
-                    bits=wire.payload_bits(payload),
-                )
-            else:
-                self.network.send(
-                    site.name,
-                    self.network.coordinator_name,
-                    payload,
-                    label=DELTA_LABEL,
-                    bits=wire.payload_bits(payload),
-                )
+            # First hop of the route: leaf -> its parent (the coordinator on
+            # a flat network).  The aggregator relays (one merged bundle per
+            # interior edge) are recorded right after the leaf loop.
+            self.network.upstream_hop(
+                site.name, payload, label=DELTA_LABEL, bits=wire.payload_bits(payload)
+            )
             report.upload_bytes[site.name] = (
                 report.upload_bytes.get(site.name, 0) + len(payload)
             )
-        if tree_net is not None and on_time:
-            self._ship_aggregated(tree_net, on_time)
+        if on_time and self.network.tree.aggregators:
+            self._ship_aggregated(on_time)
         report.total_bytes = sum(report.upload_bytes.values())
         report.cumulative_bytes = (self.history[-1].cumulative_bytes if self.history else 0)
         report.cumulative_bytes += report.total_bytes
@@ -1037,18 +1015,12 @@ class StreamingSession(EstimatorBase):
         return report
 
     def _upload_latency(self, site_name: str) -> float:
-        """The latency pricing one site's upload (tree-aware under regions)."""
-        if self.tree is not None:
-            return self.conditions.edge_link(
-                site_name, tuple(self.tree.ancestors(site_name))
-            ).latency
-        return self.conditions.link(site_name).latency
+        """The latency pricing one site's upload (region-aware on trees)."""
+        return self.conditions.edge_link(
+            site_name, self.network.tree.ancestors(site_name)
+        ).latency
 
-    def _ship_aggregated(
-        self,
-        network: TreeNetwork,
-        on_time: "list[tuple[_SiteStream, bytes]]",
-    ) -> None:
+    def _ship_aggregated(self, on_time: "list[tuple[_SiteStream, bytes]]") -> None:
         """Relay partially merged delta bundles up the aggregation tree.
 
         Bottom-up, every aggregator with at least one on-time shipping
@@ -1061,7 +1033,7 @@ class StreamingSession(EstimatorBase):
         bundles (preserving the robust per-site slots); this loop records
         the metering truth of every interior edge.
         """
-        tree = network.tree
+        tree = self.network.tree
         bundles = {
             site.name: deserialize_deltas(self.templates, payload)
             for site, payload in on_time
@@ -1085,7 +1057,7 @@ class StreamingSession(EstimatorBase):
                     for key in FAMILIES:
                         merged[key].merge(part[key])
             payload = serialize_deltas(merged)
-            network.upstream_hop(
+            self.network.upstream_hop(
                 agg, payload, label=DELTA_LABEL, bits=wire.payload_bits(payload)
             )
             bundles[agg] = merged
@@ -1150,25 +1122,15 @@ class StreamingSession(EstimatorBase):
         if not self._late_queue:
             return folded
         index_of = {site.name: site.index for site in self.sites}
-        tree_net = self.network if isinstance(self.network, TreeNetwork) else None
         for name, payload in self._late_queue:
             deltas = deserialize_deltas(self.templates, payload)
             self._merge_delta(index_of[name], deltas)
             bits = wire.payload_bits(payload)
-            if tree_net is not None:
-                # A straggler's bundle has no merge partner at any level:
-                # its bytes traverse every hop of its path unchanged.
-                for child in reversed(tree_net.tree.path_edges(name)):
-                    tree_net.upstream_hop(
-                        child, payload, label=LATE_DELTA_LABEL, bits=bits
-                    )
-            else:
-                self.network.send(
-                    name,
-                    self.network.coordinator_name,
-                    payload,
-                    label=LATE_DELTA_LABEL,
-                    bits=bits,
+            # A straggler's bundle has no merge partner at any level: its
+            # bytes traverse every hop of its path unchanged.
+            for child in reversed(self.network.tree.path_edges(name)):
+                self.network.upstream_hop(
+                    child, payload, label=LATE_DELTA_LABEL, bits=bits
                 )
             if report is not None:
                 report.late_merged.append(name)

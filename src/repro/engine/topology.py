@@ -1,10 +1,13 @@
-"""Endpoints and wiring of the star topology the engine runs on.
+"""Endpoints and wiring of the coordinator topology the engine runs on.
 
 A :class:`StarTopology` bundles everything a protocol execution needs: the
 metered :class:`repro.comm.network.Network`, one :class:`Site` per shard,
 the :class:`Coordinator`, and the seeded randomness (one shared public-coin
 stream plus independent private streams per endpoint, spawned from a single
-root so runs with equal seeds are comparable across topologies).
+root so runs with equal seeds are comparable across topologies).  The
+network routes over the flat star, or over an aggregation tree when
+:meth:`StarTopology.build` is given one; sites and coordinator are the same
+either way, because aggregators are part of the network, not endpoints.
 
 The two-party model is the single-site special case: ``StarTopology.build``
 with one shard named ``"alice"`` and the hub named ``"bob"`` reproduces the
@@ -28,7 +31,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from repro.comm.conditions import NetworkConditions
-from repro.comm.network import Network, TreeNetwork, merge_payload_group
+from repro.comm.network import Network
 from repro.comm.transport import IN_PROCESS, Transport
 from repro.comm.tree import TreeSpec
 from repro.sketch.mergeable import MergeableSketch
@@ -226,22 +229,29 @@ class StarTopology:
         coordinator_name: str = "coordinator",
         conditions: NetworkConditions | None = None,
         transport: Transport | None = None,
+        tree: "TreeSpec | int | None" = None,
+        merge_runtime: Any | None = None,
     ) -> "StarTopology":
-        """Wire a star around ``k = len(shards)`` sites.
+        """Wire ``k = len(shards)`` sites around the coordinator.
 
         The seeding discipline is load-bearing: the root generator first
         yields the shared (public-coin) seed, then spawns ``k + 1`` private
         streams — sites in shard order, the coordinator last.  For ``k = 1``
         this reproduces the historical two-party driver exactly (alice =
         site stream, bob = coordinator stream), which keeps pre-unification
-        transcripts bit-for-bit intact.
+        transcripts bit-for-bit intact.  The tree shape draws nothing, so
+        equal seeds give equal site/coordinator randomness across *every*
+        shape — the load-bearing fact behind the tree bit-identity pins.
 
         ``conditions`` (per-link latency/bandwidth models) only affect the
         network's simulated makespan, never the transcript itself.
 
-        ``transport`` picks who builds (and therefore carries) the star
-        network — default :data:`repro.comm.transport.IN_PROCESS`; the
-        service layer passes a socket-backed transport instead.
+        ``transport`` picks who builds (and therefore carries) the network
+        — default :data:`repro.comm.transport.IN_PROCESS`; the service
+        layer passes a socket-backed transport instead.  ``tree`` (a
+        :class:`~repro.comm.tree.TreeSpec` or an integer fan-out) routes it
+        through aggregators, and ``merge_runtime`` fans their per-level
+        merges out (see :class:`repro.comm.network.Network`).
         """
         shards = coerce_shards(shards)
         k = len(shards)
@@ -251,7 +261,14 @@ class StarTopology:
             raise ValueError(f"got {len(site_names)} site names for {k} shards")
         if transport is None:
             transport = IN_PROCESS
-        network = transport.build_network(site_names, coordinator_name, conditions)
+        network = transport.build_network(
+            site_names,
+            coordinator_name,
+            conditions,
+            tree=normalize_tree(tree, site_names, coordinator_name),
+        )
+        if merge_runtime is not None:
+            network.merge_runtime = merge_runtime
         root = np.random.default_rng(seed)
         shared_seed = int(root.integers(0, 2**63 - 1))
         rngs = root.spawn(k + 1)
@@ -267,49 +284,6 @@ class StarTopology:
             coordinator=coordinator,
             shared_rng=np.random.default_rng(shared_seed),
         )
-
-
-class Aggregator:
-    """One interior node of an aggregation tree.
-
-    Aggregators hold no shard and answer no query — they *relay*: the
-    :class:`~repro.comm.network.TreeNetwork` stages their children's
-    upstream payloads here and forwards one partially merged summary per
-    sibling group (see :func:`repro.comm.network.merge_payload_group`).
-    The endpoint object carries the node's name, its private randomness
-    (spawned *after* the k + 1 site/coordinator streams, so adding
-    aggregators never perturbs a site's or the coordinator's stream), and
-    a scratch dict, mirroring :class:`Site` / :class:`Coordinator`.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        network: TreeNetwork,
-        *,
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        self.name = name
-        self.network = network
-        self.rng = rng if rng is not None else np.random.default_rng()
-        self.scratch: dict[str, Any] = {}
-
-    @property
-    def children(self) -> tuple[str, ...]:
-        """Names of this aggregator's direct children."""
-        return self.network.tree.children[self.name]
-
-    @property
-    def parent(self) -> str:
-        """Name of this aggregator's parent (an aggregator or the root)."""
-        return self.network.tree.parent[self.name]
-
-    def merge(self, payloads: Sequence[Any]) -> Any:
-        """Partially merge a sibling group (delegates to the shared kernel)."""
-        return merge_payload_group(list(payloads))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"Aggregator({self.name!r}, children={list(self.children)})"
 
 
 def normalize_tree(
@@ -317,93 +291,12 @@ def normalize_tree(
     site_names: Sequence[str],
     coordinator_name: str = "coordinator",
 ) -> TreeSpec | None:
-    """Coerce the public ``tree=`` argument into a validated spec.
+    """Coerce the public ``tree=`` argument into a spec.
 
     Accepts a full :class:`~repro.comm.tree.TreeSpec`, an integer fan-out
-    (sugar for :meth:`TreeSpec.regular`), or ``None`` (flat star).
+    (sugar for :meth:`TreeSpec.regular`), or ``None`` (flat star).  The
+    network the spec is handed to checks that it matches the sites.
     """
-    if tree is None:
-        return None
     if isinstance(tree, int):
         return TreeSpec.regular(site_names, tree, root=coordinator_name)
-    return Transport.check_tree(tree, site_names, coordinator_name)
-
-
-@dataclass
-class TreeTopology(StarTopology):
-    """A fully wired aggregation tree; the star plus interior aggregators.
-
-    ``StarTopology`` with two extra fields: the shape (:class:`TreeSpec`)
-    and the wired :class:`Aggregator` endpoints.  Sites and the coordinator
-    are constructed exactly as in :meth:`StarTopology.build` — same seeding
-    order, same shard offsets — so protocol bodies run unchanged and their
-    estimates are bit-identical to the flat star.  Only the network object
-    differs: a :class:`~repro.comm.network.TreeNetwork` that routes, stages
-    and partially merges along the tree.
-    """
-
-    tree: TreeSpec = None  # type: ignore[assignment]
-    aggregators: list[Aggregator] = None  # type: ignore[assignment]
-
-    @classmethod
-    def build_tree(
-        cls,
-        shards: Sequence[Any],
-        coordinator_data: Any,
-        *,
-        tree: "TreeSpec | int",
-        seed: int | None = None,
-        site_names: Sequence[str] | None = None,
-        coordinator_name: str = "coordinator",
-        conditions: NetworkConditions | None = None,
-        transport: Transport | None = None,
-        merge_runtime: Any | None = None,
-    ) -> "TreeTopology":
-        """Wire an aggregation tree around ``k = len(shards)`` sites.
-
-        The seeding discipline extends :meth:`StarTopology.build`
-        append-only: the shared seed and the ``k + 1`` site/coordinator
-        streams are drawn first (bit-identical to the star), then the
-        aggregator streams are spawned from the same root.  Equal seeds
-        therefore give equal site/coordinator randomness across *every*
-        tree shape, including the flat star — the load-bearing fact behind
-        the bit-identity pins.
-        """
-        shards = coerce_shards(shards)
-        k = len(shards)
-        if site_names is None:
-            site_names = [f"site-{i}" for i in range(k)]
-        if len(site_names) != k:
-            raise ValueError(f"got {len(site_names)} site names for {k} shards")
-        spec = normalize_tree(tree, site_names, coordinator_name)
-        if spec is None:
-            raise ValueError("TreeTopology.build_tree needs a tree (spec or fan-out)")
-        if transport is None:
-            transport = IN_PROCESS
-        network = transport.build_network(
-            site_names, coordinator_name, conditions, tree=spec
-        )
-        if merge_runtime is not None and isinstance(network, TreeNetwork):
-            network.merge_runtime = merge_runtime
-        root = np.random.default_rng(seed)
-        shared_seed = int(root.integers(0, 2**63 - 1))
-        rngs = root.spawn(k + 1)
-        agg_rngs = root.spawn(len(spec.aggregators)) if spec.aggregators else []
-        offsets = np.concatenate(([0], np.cumsum([s.shape[0] for s in shards])[:-1]))
-        sites = [
-            Site(site_names[i], shards[i], network, row_offset=int(offsets[i]), rng=rngs[i])
-            for i in range(k)
-        ]
-        coordinator = Coordinator(coordinator_data, network, rng=rngs[-1])
-        aggregators = [
-            Aggregator(name, network, rng=agg_rngs[index])
-            for index, name in enumerate(spec.aggregators)
-        ]
-        return cls(
-            network=network,
-            sites=sites,
-            coordinator=coordinator,
-            shared_rng=np.random.default_rng(shared_seed),
-            tree=spec,
-            aggregators=aggregators,
-        )
+    return tree

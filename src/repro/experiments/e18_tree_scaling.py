@@ -3,8 +3,8 @@
 The flat star asks one coordinator to absorb k upload bursts back to back
 every round; at k in the thousands the root's ingress — not the protocol's
 information cost — is the binding constraint.  This driver routes the SAME
-per-site uploads through :class:`~repro.comm.network.TreeNetwork` overlays
-of growing fan-out and charts what the hierarchy changes and what it
+per-site uploads through :class:`~repro.comm.network.Network` aggregation
+trees of growing fan-out and charts what the hierarchy changes and what it
 provably cannot:
 
 * **Root ingress** — with exact-mergeable summaries every aggregator
@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.comm.conditions import LinkModel, NetworkConditions
-from repro.comm.network import TreeNetwork
+from repro.comm.network import Network
 from repro.comm.tree import TreeSpec
 from repro.experiments.harness import ExperimentReport
 from repro.engine.api import ClusterEstimator
@@ -48,9 +48,9 @@ CLAIM = (
 )
 
 
-def _upload_round(tree: TreeSpec, conditions, per_site_bits: int) -> TreeNetwork:
+def _upload_round(tree: TreeSpec, conditions, per_site_bits: int) -> Network:
     """One upload round: every site ships a mergeable summary upstream."""
-    network = TreeNetwork(tree, conditions=conditions)
+    network = Network(tree.site_names, tree.root, conditions=conditions, tree=tree)
     summary = np.ones(4, dtype=np.int64)  # stand-in partial; bits are explicit
     for name in tree.site_names:
         network.send(name, tree.root, summary, label="partial", bits=per_site_bits)

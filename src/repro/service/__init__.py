@@ -13,9 +13,9 @@ a cluster estimate runs over real localhost (or LAN) sockets:
   of :mod:`repro.comm.wire` (arrays and bundles) with a pickle fallback
   for composite protocol payloads.
 * :mod:`repro.service.transport` — :class:`~repro.service.transport
-  .RemoteNetwork` (a :class:`~repro.comm.network.Network` whose ``send``
-  also ships the encoded payload over the site's TCP connection and
-  counts **observed** wire bytes per link per round) and
+  .RemoteNetwork` (a :class:`~repro.comm.network.Network` whose every
+  edge, star or tree, also ships the encoded payload over a TCP
+  connection and counts **observed** wire bytes per edge per round) and
   :class:`~repro.service.transport.RemoteRuntime` (a
   :class:`~repro.engine.runtime.Runtime` that fans per-site tasks out to
   the site processes).
@@ -50,12 +50,7 @@ from repro.service.tenancy import (
     TenantCostReport,
     TenantQuota,
 )
-from repro.service.transport import (
-    RemoteNetwork,
-    RemoteRuntime,
-    RemoteTreeNetwork,
-    SocketTransport,
-)
+from repro.service.transport import RemoteNetwork, RemoteRuntime, SocketTransport
 
 __all__ = [
     "AggregatorAgent",
@@ -65,7 +60,6 @@ __all__ = [
     "QuotaExceededError",
     "RemoteNetwork",
     "RemoteRuntime",
-    "RemoteTreeNetwork",
     "SessionManager",
     "SiteAgent",
     "SocketTransport",

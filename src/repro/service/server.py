@@ -417,17 +417,20 @@ class CoordinatorServer:
         #: children): each aggregator is one *aggregator agent* process
         #: fronting its leaves over its own sockets; leaves behind it
         #: register through it, not directly.
-        self.tree: TreeSpec | None = normalize_tree(
-            tree, [f"site-{i}" for i in range(self.num_sites)]
-        )
-        if self.tree is not None and (
-            self.tree.depth > 2
-            or any(self.tree.node_depth(a) > 1 for a in self.tree.aggregators)
-        ):
-            raise ValueError(
-                "the socket service supports aggregation trees of depth <= 2 "
-                f"(aggregators as root children); got depth {self.tree.depth}"
-            )
+        site_names = [f"site-{i}" for i in range(self.num_sites)]
+        self.tree: TreeSpec | None = normalize_tree(tree, site_names)
+        if self.tree is not None:
+            # Checked here, not only when the first query builds a network:
+            # sites register by the tree's names.
+            self.tree.check_matches(site_names, "coordinator")
+            if self.tree.depth > 2 or any(
+                self.tree.node_depth(a) > 1 for a in self.tree.aggregators
+            ):
+                raise ValueError(
+                    "the socket service supports aggregation trees of depth "
+                    f"<= 2 (aggregators as root children); got depth "
+                    f"{self.tree.depth}"
+                )
 
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None

@@ -4,15 +4,19 @@ Three pieces turn an in-process protocol execution into a distributed one
 without touching a line of protocol code:
 
 :class:`RemoteNetwork`
-    A :class:`~repro.comm.network.Network` whose :meth:`send` *also*
-    transmits the message over the corresponding site's TCP connection.
-    Downstream messages are pushed to the site (which acks with the byte
-    count it observed on its socket); upstream messages are pushed back by
-    the *site* — the server hands the site a control copy (``relay``) and
-    the site emits the actual ``msg`` frame, so the payload bytes
-    physically travel site -> server and are counted off the server's
-    socket.  Every payload crossing is digest-checked, so a transport that
-    corrupted or dropped a single byte fails loudly.
+    The one socket network: a :class:`~repro.comm.network.Network` whose
+    every metered message *also* travels over the TCP connections of its
+    edges — the flat star when no ``tree=`` is given, a depth-<=2
+    aggregation tree otherwise.  Downstream messages are pushed to the
+    site (which acks with the byte count it observed on its socket);
+    upstream messages are pushed back by the *site* — the server hands the
+    site a control copy (``relay``) and the site emits the actual ``msg``
+    frame, so the payload bytes physically travel site -> server and are
+    counted off the server's socket.  Every payload crossing is
+    digest-checked, so a transport that corrupted or dropped a single byte
+    fails loudly.  The makespan model follows the in-process network's
+    rule: links in parallel without a ``tree=``, serialized fan-in with
+    one.
 
     The network keeps **three** independent meters:
 
@@ -21,11 +25,11 @@ without touching a line of protocol code:
     * a *wire meter* (same round structure) charging 8 bits per actually
       encoded payload byte — the service's billing convention, and the
       convention the streaming runtime already uses in-process;
-    * *observed* byte counters per link per round, measured at the socket
+    * *observed* byte counters per edge per round, measured at the socket
       (server-side reads for upstream, site-side reads for downstream).
 
     The service invariant, asserted in ``tests/service/``:
-    ``observed_bytes * 8 == wire-meter bits`` on every link and in every
+    ``observed_bytes * 8 == wire-meter bits`` on every edge and in every
     round — and for streaming payloads (already encoded bytes, charged
     8 bits/byte in-process too) all three meters coincide exactly.
 
@@ -55,7 +59,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.comm.accounting import MessageLog
 from repro.comm.conditions import NetworkConditions
-from repro.comm.network import DOWNSTREAM, UPSTREAM, Network, TreeNetwork
+from repro.comm.network import DOWNSTREAM, UPSTREAM, Network
 from repro.comm.transport import Transport
 from repro.comm.tree import TreeSpec
 from repro.engine.runtime import QuorumPolicy, Runtime
@@ -71,7 +75,6 @@ from repro.service.messages import (
 
 __all__ = [
     "RemoteNetwork",
-    "RemoteTreeNetwork",
     "RemoteRuntime",
     "SiteLink",
     "SocketTransport",
@@ -165,7 +168,40 @@ def request_with_retry(
 
 
 class RemoteNetwork(Network):
-    """A metered star whose messages additionally travel over real sockets."""
+    """A metered network whose every edge is a real socket hop.
+
+    The shape is the network's :attr:`~repro.comm.network.Network.tree`:
+    the flat star when no ``tree=`` is given, else a depth-<=2
+    :class:`~repro.comm.tree.TreeSpec`.  The root's children are live
+    connections (site agents, or aggregator agents fronting their leaf
+    children over their own sockets).  Message routing is exactly
+    :class:`~repro.comm.network.Network`'s — same staged merges, same
+    simulated meters, so estimates stay bit-identical to an in-process
+    run — but every edge additionally carries the payload's encoded bytes:
+
+    * **downstream**, one frame per root-child subtree: a site acks with
+      the bytes it observed on its socket; an aggregator observes the
+      frame, forwards the *same* payload bytes once per targeted child
+      (encode-once at every level), and its ack aggregates the children's
+      observed counts and digests;
+    * **upstream direct edge** (a root child): a ``relay`` — the server
+      hands the endpoint a control copy and the endpoint echoes the actual
+      ``msg`` frame, so the payload bytes physically travel to the server
+      and are counted off its own socket;
+    * **upstream leaf edge** behind an aggregator: a routed ``relay`` — the
+      leaf echoes its payload to the aggregator, which counts the bytes
+      off its socket and reports them upstream *without* forwarding the
+      payload (the whole point of the tree); the aggregator's own edge
+      then carries the merged payload computed at drain time.
+
+    Accounting: the inherited simulated meters, plus per-*edge* wire
+    meters (8 bits per encoded payload byte) and observed socket bytes,
+    with the service invariant ``observed * 8 == wire bits`` holding per
+    edge per round.  Aggregator merges for the metered transcript are
+    computed coordinator-side (the edges relay the resulting bytes);
+    dispatching merge closures through the task fan-out would double-meter,
+    so :attr:`merge_runtime` is pinned to ``None``.
+    """
 
     def __init__(
         self,
@@ -173,20 +209,30 @@ class RemoteNetwork(Network):
         coordinator_name: str = "coordinator",
         *,
         conditions: NetworkConditions | None = None,
+        tree: TreeSpec | None = None,
         links: Mapping[str, SiteLink],
         deadline: float | None = None,
         retries: int = 0,
         backoff: float = 0.05,
         on_retry: Callable[[str], None] | None = None,
     ) -> None:
-        super().__init__(site_names, coordinator_name, conditions=conditions)
-        missing = [name for name in self.site_names if name not in links]
+        super().__init__(
+            site_names, coordinator_name, conditions=conditions, tree=tree
+        )
+        tree = self.tree
+        if tree.depth > 2 or any(tree.node_depth(agg) > 1 for agg in tree.aggregators):
+            raise ServiceError(
+                "the socket transport supports aggregation trees of depth "
+                f"<= 2 (aggregators as root children); got depth {tree.depth}"
+            )
+        edges = list(self.links)  # sites, then aggregators
+        missing = [name for name in edges if name not in links]
         if missing:
             raise ServiceError(
-                f"no live site connection for {missing}; registered links: "
-                f"{sorted(links)}"
+                f"no live connection or route for {missing}; registered "
+                f"links: {sorted(links)}"
             )
-        self._site_links = {name: links[name] for name in self.site_names}
+        self._site_links = {name: links[name] for name in edges}
         #: Per-request reply deadline (real seconds; None = wait forever).
         self.deadline = deadline
         #: Retry budget for transient refusals (a site's ``retry`` reply).
@@ -195,260 +241,8 @@ class RemoteNetwork(Network):
         self.backoff = float(backoff)
         self._on_retry = on_retry
         self.wire_log = MessageLog()
-        self.wire_links: dict[str, MessageLog] = {
-            name: MessageLog() for name in self.site_names
-        }
-        #: Socket-observed payload bytes, per link and per (link, round).
-        self.observed_link_bytes: Counter[str] = Counter()
-        self.observed_round_bytes: dict[str, Counter[int]] = {
-            name: Counter() for name in self.site_names
-        }
-        self._notified_round: dict[str, int] = {name: 0 for name in self.site_names}
-        self._broadcast_blob: bytes | None = None
-
-    # --------------------------------------------------------------- request
-    def _request(self, site: str, link: SiteLink, message: Message) -> Message:
-        """See :func:`request_with_retry` (this network's knobs applied)."""
-        return request_with_retry(
-            site,
-            link,
-            message,
-            deadline=self.deadline,
-            retries=self.retries,
-            backoff=self.backoff,
-            on_retry=self._on_retry,
-        )
-
-    # ------------------------------------------------------------------ send
-    def send(
-        self,
-        sender: str,
-        receiver: str,
-        payload: Any,
-        *,
-        label: str = "",
-        bits: int | None = None,
-        universe: int | None = None,
-    ) -> Any:
-        result = super().send(
-            sender, receiver, payload, label=label, bits=bits, universe=universe
-        )
-        record = self.log.messages[-1]  # bits + aggregate round as charged
-        downstream = sender == self.coordinator_name
-        site = receiver if downstream else sender
-        link = self._site_links[site]
-
-        round_future = None
-        if self._notified_round[site] != record.round_index:
-            # Open the aggregate round on this link before its first burst,
-            # so both endpoints attribute observed bytes to the same round.
-            # The open is *staged* (flush=False): the burst's own request
-            # below flushes both frames in one coalesced write, and FIFO
-            # guarantees the ack lands before the burst's reply.
-            self._notified_round[site] = record.round_index
-            round_future = link.submit(
-                Message("round", {"round": record.round_index}), flush=False
-            )
-
-        blob = (
-            self._broadcast_blob
-            if self._broadcast_blob is not None
-            else encode_payload(payload)
-        )
-        # The 1-byte codec tag is envelope (like the frame header and meta):
-        # both the wire meter and the observed counters measure the codec
-        # body, so a streaming delta of n bytes meters as n bytes here too.
-        body_bytes = len(blob) - PAYLOAD_TAG_BYTES
-        digest = payload_digest(blob)
-        meta = {
-            "label": label,
-            "bits": record.bits,
-            "round": record.round_index,
-            "digest": digest,
-        }
-        if downstream:
-            reply = self._request(site, link, Message("msg", meta, blob))
-            self._confirm_round(site, round_future)
-            if reply.type != "ack":
-                raise ServiceError(
-                    f"site {site!r} answered a downstream msg with {reply.type!r}: "
-                    f"{reply.meta}"
-                )
-            observed = int(reply.meta["observed"])
-            if observed != body_bytes or reply.meta.get("digest") != digest:
-                raise CorruptFrameError(
-                    f"downstream payload to {site!r} corrupted in transit: sent "
-                    f"{body_bytes} bytes ({digest[:12]}...), site observed "
-                    f"{observed} ({str(reply.meta.get('digest'))[:12]}...)",
-                    site=site,
-                )
-            self.observed_link_bytes[site] += observed
-            self.observed_round_bytes[site][record.round_index] += observed
-        else:
-            reply = self._request(site, link, Message("relay", meta, blob))
-            self._confirm_round(site, round_future)
-            if reply.type != "msg":
-                raise ServiceError(
-                    f"site {site!r} answered a relay with {reply.type!r}: "
-                    f"{reply.meta}"
-                )
-            if payload_digest(reply.payload) != digest:
-                raise CorruptFrameError(
-                    f"upstream payload from {site!r} corrupted in transit "
-                    f"(digest mismatch over {len(reply.payload)} echoed bytes)",
-                    site=site,
-                )
-            # The payload decoded from the socket bytes must reconstruct
-            # the value bit-exactly; a codec that silently lost precision
-            # would otherwise hide behind the server-side original.
-            decode_payload(reply.payload)
-            for round_index, nbytes in link.take_observed_upstream():
-                self.observed_link_bytes[site] += nbytes
-                self.observed_round_bytes[site][round_index] += nbytes
-
-        # The wire meter flips rounds on the same direction changes as the
-        # simulated log, so both meters share one round structure.
-        self.wire_log.record(
-            sender,
-            receiver,
-            None,
-            label=label,
-            bits=8 * body_bytes,
-            direction_key=DOWNSTREAM if downstream else UPSTREAM,
-        )
-        self.wire_links[site].record(
-            sender, receiver, None, label=label, bits=8 * body_bytes
-        )
-        return result
-
-    def broadcast(self, payload, *, label: str = "", bits=None, sites=None):
-        """Push one payload to every site, encoding it exactly once.
-
-        The star still transmits one copy per link, but the codec runs once
-        — the shared blob is reused for every ``send`` of the loop (the
-        meters are unchanged: each link is charged the same bits either
-        way).
-        """
-        self._broadcast_blob = encode_payload(payload)
-        try:
-            return super().broadcast(payload, label=label, bits=bits, sites=sites)
-        finally:
-            self._broadcast_blob = None
-
-    def _confirm_round(self, site: str, round_future) -> None:
-        """Verify a staged round open's ack (FIFO: it already arrived)."""
-        if round_future is None:
-            return
-        opened = round_future.result(self.deadline)
-        if opened.type != "ack":
-            raise ServiceError(
-                f"site {site!r} answered a round open with {opened.type!r}"
-            )
-
-    # ------------------------------------------------------------ accounting
-    def wire_link_bits(self) -> dict[str, int]:
-        """Per-link wire-metered bits (8 per encoded payload byte)."""
-        return {name: log.total_bits for name, log in self.wire_links.items()}
-
-    @property
-    def observed_total_bytes(self) -> int:
-        """Socket-observed payload bytes over all links."""
-        return sum(self.observed_link_bytes.values())
-
-    def service_report(self) -> dict[str, Any]:
-        """The observed-vs-metered summary shipped with every answer."""
-        return {
-            "rounds": self.rounds,
-            "simulated_bits": self.total_bits,
-            "simulated_link_bits": self.link_bits(),
-            "wire_bits": self.wire_log.total_bits,
-            "wire_link_bits": self.wire_link_bits(),
-            "wire_round_bits": self.wire_log.bits_per_round(),
-            "observed_bytes": self.observed_total_bytes,
-            "observed_link_bytes": dict(self.observed_link_bytes),
-            "observed_round_bytes": {
-                name: dict(rounds)
-                for name, rounds in self.observed_round_bytes.items()
-            },
-        }
-
-    def reset(self) -> None:
-        super().reset()
-        self.wire_log.reset()
-        for log in self.wire_links.values():
-            log.reset()
-        self.observed_link_bytes.clear()
-        for rounds in self.observed_round_bytes.values():
-            rounds.clear()
-        self._notified_round = {name: 0 for name in self.site_names}
-
-
-class RemoteTreeNetwork(TreeNetwork):
-    """A metered aggregation tree whose every edge is a real socket hop.
-
-    The shape is a depth-<=2 :class:`~repro.comm.tree.TreeSpec`: the
-    root's children are live connections (aggregator agents and/or direct
-    site agents), and each aggregator fronts its leaf children over its
-    own sockets.  Message routing mirrors :class:`~repro.comm.network
-    .TreeNetwork` exactly — same staged merges, same simulated meters, so
-    estimates stay bit-identical to the in-process tree — but every edge
-    additionally carries the payload's encoded bytes:
-
-    * **downstream**, one frame per root-child subtree: the aggregator
-      observes the frame off its own socket, forwards the *same* payload
-      bytes once per targeted child (encode-once at every level), and its
-      ack aggregates the children's observed counts and digests;
-    * **upstream leaf edge** (leaf behind an aggregator): a routed
-      ``relay`` — the leaf echoes its payload to the aggregator, which
-      counts the bytes off its socket and reports them upstream *without*
-      forwarding the payload (the whole point of the tree);
-    * **upstream interior edge**: the merged payload computed at drain
-      time travels aggregator -> coordinator via the standard relay echo,
-      counted off the coordinator's socket.
-
-    Accounting: per-*edge* wire meters (8 bits per encoded payload byte)
-    and observed socket bytes, with the service invariant
-    ``observed * 8 == wire bits`` holding per edge per round.  Aggregator
-    merges for the metered transcript are computed coordinator-side (the
-    edges relay the resulting bytes); dispatching merge closures through
-    the task fan-out would double-meter, so :attr:`merge_runtime` is
-    pinned to ``None``.
-    """
-
-    def __init__(
-        self,
-        tree: TreeSpec,
-        *,
-        conditions: NetworkConditions | None = None,
-        links: Mapping[str, SiteLink],
-        deadline: float | None = None,
-        retries: int = 0,
-        backoff: float = 0.05,
-        on_retry: Callable[[str], None] | None = None,
-    ) -> None:
-        deep = [
-            name for name in tree.site_names if tree.node_depth(name) > 2
-        ]
-        if deep or any(tree.node_depth(agg) > 1 for agg in tree.aggregators):
-            raise ServiceError(
-                "the socket transport supports aggregation trees of depth "
-                f"<= 2 (aggregators as root children); got depth {tree.depth}"
-            )
-        super().__init__(tree, conditions=conditions)
-        edges = list(tree.site_names) + list(tree.aggregators)
-        missing = [name for name in edges if name not in links]
-        if missing:
-            raise ServiceError(
-                f"no live connection or route for {missing}; registered "
-                f"links: {sorted(links)}"
-            )
-        self._site_links = {name: links[name] for name in edges}
-        self.deadline = deadline
-        self.retries = int(retries)
-        self.backoff = float(backoff)
-        self._on_retry = on_retry
-        self.wire_log = MessageLog()
         self.wire_links: dict[str, MessageLog] = {name: MessageLog() for name in edges}
+        #: Socket-observed payload bytes, per edge and per (edge, round).
         self.observed_link_bytes: Counter[str] = Counter()
         self.observed_round_bytes: dict[str, Counter[int]] = {
             name: Counter() for name in edges
@@ -458,7 +252,7 @@ class RemoteTreeNetwork(TreeNetwork):
             child: 0 for child in tree.children[tree.root]
         }
 
-    # Merges stay coordinator-side: TreeTopology assigns the protocol
+    # Merges stay coordinator-side: StarTopology.build assigns the protocol
     # runtime here, but a RemoteRuntime would ship merge closures to the
     # sites as unmetered tasks — swallow the assignment.
     @property
@@ -471,6 +265,7 @@ class RemoteTreeNetwork(TreeNetwork):
 
     # --------------------------------------------------------------- request
     def _request(self, site: str, link: SiteLink, message: Message) -> Message:
+        """See :func:`request_with_retry` (this network's knobs applied)."""
         return request_with_retry(
             site,
             link,
@@ -674,7 +469,7 @@ class RemoteTreeNetwork(TreeNetwork):
         return sum(self.observed_link_bytes.values())
 
     def service_report(self) -> dict[str, Any]:
-        """The observed-vs-metered summary (same shape as the star's)."""
+        """The observed-vs-metered summary shipped with every answer."""
         self._drain()
         return {
             "rounds": self.rounds,
@@ -762,7 +557,7 @@ class SocketTransport(Transport):
         #: The most recently built network — the server reads its
         #: :meth:`RemoteNetwork.service_report` after each query (queries
         #: are serialized on one worker, so "last" is unambiguous).
-        self.last_network: RemoteNetwork | RemoteTreeNetwork | None = None
+        self.last_network: RemoteNetwork | None = None
 
     @property
     def links(self) -> dict[str, SiteLink]:
@@ -784,30 +579,18 @@ class SocketTransport(Transport):
         conditions: NetworkConditions | None = None,
         *,
         tree: TreeSpec | None = None,
-    ) -> RemoteNetwork | RemoteTreeNetwork:
-        network: RemoteNetwork | RemoteTreeNetwork
-        if tree is not None:
-            self.check_tree(tree, site_names, coordinator_name)
-            network = RemoteTreeNetwork(
-                tree,
-                conditions=conditions,
-                links=self._links,
-                deadline=self.deadline,
-                retries=self.retries,
-                backoff=self.backoff,
-                on_retry=self.on_retry,
-            )
-        else:
-            network = RemoteNetwork(
-                site_names,
-                coordinator_name,
-                conditions=conditions,
-                links=self._links,
-                deadline=self.deadline,
-                retries=self.retries,
-                backoff=self.backoff,
-                on_retry=self.on_retry,
-            )
+    ) -> RemoteNetwork:
+        network = RemoteNetwork(
+            site_names,
+            coordinator_name,
+            conditions=conditions,
+            tree=tree,
+            links=self._links,
+            deadline=self.deadline,
+            retries=self.retries,
+            backoff=self.backoff,
+            on_retry=self.on_retry,
+        )
         self.last_network = network
         return network
 

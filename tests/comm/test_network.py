@@ -14,6 +14,7 @@ import pytest
 
 from repro.comm import bitcost
 from repro.comm.network import Network
+from repro.comm.tree import TreeSpec
 
 
 def random_two_party_trace(seed: int, length: int = 40):
@@ -50,6 +51,26 @@ class TestStarTopologyRules:
         network = Network(["s0"])
         with pytest.raises(ValueError, match="unknown site"):
             network.send("coordinator", "s9", None, bits=1)
+
+    @pytest.mark.parametrize("shape", ["none", "flat", "fan2"])
+    def test_broadcast_checks_every_target_before_metering(self, shape):
+        names = [f"site-{i}" for i in range(4)]
+        tree = {
+            "none": None,
+            "flat": TreeSpec.flat(names),
+            "fan2": TreeSpec.regular(names, 2),
+        }[shape]
+        network = Network(names, tree=tree)
+        with pytest.raises(ValueError, match="unknown site 'nope'"):
+            network.broadcast(b"x", bits=8, sites=["site-0", "nope"])
+        assert network.total_bits == 0
+
+    def test_tree_must_match_the_sites_and_the_coordinator(self):
+        names = ["s0", "s1"]
+        with pytest.raises(ValueError, match="tree leaves"):
+            Network(names, tree=TreeSpec.flat(["s1", "s0"]))
+        with pytest.raises(ValueError, match="tree root"):
+            Network(names, "hub", tree=TreeSpec.flat(names))
 
     def test_self_send_rejected(self):
         network = Network(["s0"])

@@ -145,7 +145,7 @@ def _upload_all(net, payloads, label="up"):
 class TestTreeNetworkUpstream:
     def test_mergeable_group_forwards_one_summary_at_max_child_bits(self):
         tree = TreeSpec.regular(_sites(4), 2)
-        net = TreeNetwork(tree)
+        net = TreeNetwork(tree.site_names, tree=tree)
         payloads = [np.full(8, i, dtype=np.int64) for i in range(4)]
         _upload_all(net, payloads)
         bits = net.link_bits()  # triggers the drain
@@ -165,7 +165,7 @@ class TestTreeNetworkUpstream:
     def test_root_ingress_grows_with_fan_out_not_k(self):
         for k in (4, 8, 16):
             tree = TreeSpec.regular(_sites(k), 2)
-            net = TreeNetwork(tree)
+            net = TreeNetwork(tree.site_names, tree=tree)
             _upload_all(net, [np.ones(8, dtype=np.int64)] * k)
             root = net.root_link_bits()
             assert len(root) == 2  # fan-in is the fan-out, whatever k is
@@ -173,7 +173,7 @@ class TestTreeNetworkUpstream:
 
     def test_unmergeable_group_batches_at_summed_bits(self):
         tree = TreeSpec.regular(_sites(4), 2)
-        net = TreeNetwork(tree)
+        net = TreeNetwork(tree.site_names, tree=tree)
         # float payloads are never merged (lossy); they batch-forward.
         payloads = [np.linspace(0, 1, 8) for _ in range(4)]
         _upload_all(net, payloads)
@@ -185,7 +185,7 @@ class TestTreeNetworkUpstream:
 
     def test_multi_level_drain_cascades_bottom_up(self):
         tree = TreeSpec.from_grouping(_sites(4), [[0, [1, 2]], 3])
-        net = TreeNetwork(tree)
+        net = TreeNetwork(tree.site_names, tree=tree)
         _upload_all(net, [np.arange(6) for _ in range(4)])
         assert net.total_bits > 0
         # agg-0.1 (depth 2) forwarded before agg-0 (depth 1) forwarded.
@@ -195,14 +195,14 @@ class TestTreeNetworkUpstream:
         assert net.merges == 2
 
     def test_send_rejects_non_coordinator_endpoints_and_unknown_sites(self):
-        net = TreeNetwork(TreeSpec.regular(_sites(4), 2))
+        net = TreeNetwork(_sites(4), tree=TreeSpec.regular(_sites(4), 2))
         with pytest.raises(ValueError, match="one endpoint"):
             net.send("site-0", "site-1", b"x")
         with pytest.raises(ValueError, match="unknown site"):
             net.send("agg-0-0", "coordinator", b"x")
 
     def test_upstream_hop_records_one_edge_without_staging(self):
-        net = TreeNetwork(TreeSpec.regular(_sites(4), 2))
+        net = TreeNetwork(_sites(4), tree=TreeSpec.regular(_sites(4), 2))
         net.upstream_hop("agg-0-0", b"\x00" * 4, label="delta", bits=32)
         assert net.link_bits() == {
             "site-0": 0, "site-1": 0, "site-2": 0, "site-3": 0,
@@ -215,7 +215,7 @@ class TestTreeNetworkUpstream:
 class TestTreeNetworkDownstream:
     def test_downstream_send_pays_every_path_edge(self):
         tree = TreeSpec.regular(_sites(8), 2)
-        net = TreeNetwork(tree)
+        net = TreeNetwork(tree.site_names, tree=tree)
         net.send("coordinator", "site-5", b"x" * 4, label="down", bits=32)
         bits = net.link_bits()
         for child in tree.path_edges("site-5"):  # agg-1-1, agg-0-2, site-5
@@ -224,7 +224,7 @@ class TestTreeNetworkDownstream:
 
     def test_broadcast_pays_each_edge_once(self):
         tree = TreeSpec.regular(_sites(8), 2)
-        net = TreeNetwork(tree)
+        net = TreeNetwork(tree.site_names, tree=tree)
         net.broadcast(b"x", label="bc", bits=64)
         bits = net.link_bits()
         assert all(v == 64 for v in bits.values())
@@ -238,7 +238,7 @@ class TestTreeNetworkDownstream:
 
     def test_targeted_broadcast_covers_only_needed_paths(self):
         tree = TreeSpec.regular(_sites(8), 2)
-        net = TreeNetwork(tree)
+        net = TreeNetwork(tree.site_names, tree=tree)
         net.broadcast(b"x", bits=8, sites=["site-0", "site-1"])
         bits = net.link_bits()
         touched = {edge for edge, v in bits.items() if v}
@@ -247,7 +247,7 @@ class TestTreeNetworkDownstream:
 
 class TestTreeNetworkLifecycle:
     def test_reset_clears_staged_uploads_and_meters(self):
-        net = TreeNetwork(TreeSpec.regular(_sites(4), 2))
+        net = TreeNetwork(_sites(4), tree=TreeSpec.regular(_sites(4), 2))
         _upload_all(net, [np.ones(4, dtype=np.int64)] * 4)
         assert net.total_bits > 0
         _upload_all(net, [np.ones(4, dtype=np.int64)] * 4)  # leave staged state
@@ -258,7 +258,7 @@ class TestTreeNetworkLifecycle:
         assert all(not staged for staged in net._staged.values())
 
     def test_rounds_flip_on_direction_change(self):
-        net = TreeNetwork(TreeSpec.regular(_sites(4), 2))
+        net = TreeNetwork(_sites(4), tree=TreeSpec.regular(_sites(4), 2))
         net.broadcast(b"q", bits=8)
         _upload_all(net, [np.ones(4, dtype=np.int64)] * 4)
         net.broadcast(b"q", bits=8)
@@ -271,18 +271,18 @@ class TestTreeNetworkLifecycle:
         tree = TreeSpec.regular(_sites(4), 2)
         slow = LinkModel(latency=1.0)
         # Aggregator edges are legal override targets; unknown names are not.
-        TreeNetwork(tree, conditions=NetworkConditions(overrides={"agg-0-0": slow}))
+        TreeNetwork(tree.site_names, tree=tree, conditions=NetworkConditions(overrides={"agg-0-0": slow}))
         with pytest.raises(ValueError, match="match no edge"):
-            TreeNetwork(tree, conditions=NetworkConditions(overrides={"nope": slow}))
+            TreeNetwork(tree.site_names, tree=tree, conditions=NetworkConditions(overrides={"nope": slow}))
         # Regions must name aggregators (a subtree), never leaves.
-        TreeNetwork(tree, conditions=NetworkConditions(regions={"agg-0-1": slow}))
+        TreeNetwork(tree.site_names, tree=tree, conditions=NetworkConditions(regions={"agg-0-1": slow}))
         with pytest.raises(ValueError, match="no aggregator"):
-            TreeNetwork(tree, conditions=NetworkConditions(regions={"site-0": slow}))
+            TreeNetwork(tree.site_names, tree=tree, conditions=NetworkConditions(regions={"site-0": slow}))
 
 
 class TestTreeMakespan:
     def test_ideal_conditions_price_to_zero(self):
-        net = TreeNetwork(TreeSpec.regular(_sites(4), 2))
+        net = TreeNetwork(_sites(4), tree=TreeSpec.regular(_sites(4), 2))
         _upload_all(net, [np.ones(4, dtype=np.int64)] * 4)
         makespan, per_round = net.simulate()
         assert makespan == 0.0
@@ -293,8 +293,8 @@ class TestTreeMakespan:
         back into the root; a fan-out-F tree drains F per level."""
         k, bits = 16, 10_000
         conditions = NetworkConditions(LinkModel(latency=0.0, bandwidth=1000.0))
-        flat = TreeNetwork(TreeSpec.flat(_sites(k)), conditions=conditions)
-        tree = TreeNetwork(TreeSpec.regular(_sites(k), 4), conditions=conditions)
+        flat = TreeNetwork(_sites(k), tree=TreeSpec.flat(_sites(k)), conditions=conditions)
+        tree = TreeNetwork(_sites(k), tree=TreeSpec.regular(_sites(k), 4), conditions=conditions)
         for net in (flat, tree):
             for name in net.tree.site_names:
                 net.send(name, "coordinator", np.ones(4, dtype=np.int64), bits=bits)
@@ -310,8 +310,8 @@ class TestTreeMakespan:
         """Depth costs latency: with free bandwidth the tree pays one
         latency per level while the flat star pays it once."""
         conditions = NetworkConditions(LinkModel(latency=0.5, bandwidth=math.inf))
-        flat = TreeNetwork(TreeSpec.flat(_sites(8)), conditions=conditions)
-        tree = TreeNetwork(TreeSpec.regular(_sites(8), 2), conditions=conditions)
+        flat = TreeNetwork(_sites(8), tree=TreeSpec.flat(_sites(8)), conditions=conditions)
+        tree = TreeNetwork(_sites(8), tree=TreeSpec.regular(_sites(8), 2), conditions=conditions)
         for net in (flat, tree):
             for name in net.tree.site_names:
                 net.send(name, "coordinator", np.ones(2, dtype=np.int64), bits=64)

@@ -420,3 +420,48 @@ class TestStreamingDropout:
             StreamingSession(
                 [4, 4], b, seed=1, conditions=NetworkConditions(dropped={"nope"})
             )
+
+
+class TestRegionalDropout:
+    """Both drivers expand a dropped aggregator name by one rule
+    (``TreeSpec.expand_regions``): the name stands for the leaves of its
+    subtree, while the root and unknown names are rejected as matching no
+    site."""
+
+    def one_shot(self, binary_pair, tree, dropped):
+        a, b = binary_pair
+        cluster = ClusterEstimator.from_matrix(
+            a,
+            b,
+            4,
+            seed=7,
+            runtime=Runtime(dropout="exclude"),
+            conditions=NetworkConditions(dropped=dropped),
+            tree=tree,
+        )
+        return cluster.natural_join_size()
+
+    def session(self, tree, dropped):
+        return StreamingSession(
+            [4, 4, 4, 4],
+            np.eye(8, dtype=np.int64),
+            seed=1,
+            dropout="exclude",
+            conditions=NetworkConditions(dropped=dropped),
+            tree=tree,
+        )
+
+    @pytest.mark.parametrize("tree", [None, 2])
+    def test_dropping_the_root_matches_no_site_in_either_driver(
+        self, binary_pair, tree
+    ):
+        with pytest.raises(ValueError, match="match no site"):
+            self.one_shot(binary_pair, tree, {"coordinator"})
+        with pytest.raises(ValueError, match="match no site"):
+            self.session(tree, {"coordinator"})
+
+    def test_a_dropped_aggregator_leaves_the_same_survivors(self, binary_pair):
+        result = self.one_shot(binary_pair, 2, {"agg-0-0"})
+        session = self.session(2, {"agg-0-0"})
+        assert result.details["dropout"]["contributing_sites"] == ["site-2", "site-3"]
+        assert session.contributing_sites == ["site-2", "site-3"]

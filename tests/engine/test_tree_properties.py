@@ -131,7 +131,7 @@ def test_tree_network_drain_reproduces_the_flat_merge(family, case):
     k, grouping, updates = case
     site_names = [f"site-{i}" for i in range(k)]
     tree = TreeSpec.from_grouping(site_names, grouping)
-    net = TreeNetwork(tree)
+    net = TreeNetwork(site_names, tree=tree)
     template = FAMILIES[family](np.random.default_rng(7))
     sketches = _site_sketches(template, updates)
     for name, sketch in zip(site_names, sketches):

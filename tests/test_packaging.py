@@ -34,7 +34,12 @@ class TestTypingMarker:
         assert (package_dir / "py.typed").is_file()
 
 
-#: Retired modules and knob values, each with the error that pins its removal.
+def _attribute(module: str, name: str):
+    return getattr(importlib.import_module(module), name)
+
+
+#: Retired modules, names and knob values, each with the error that pins its
+#: removal.
 REMOVED = [
     pytest.param(partial(importlib.import_module, name), ModuleNotFoundError, id=name)
     for name in (
@@ -48,11 +53,19 @@ REMOVED = [
         "repro.core.exchange",
         "repro.sketch._native_numba",
     )
+] + [
+    pytest.param(partial(_attribute, module, name), AttributeError, id=f"{module}.{name}")
+    for module, name in (
+        ("repro.engine", "TreeTopology"),
+        ("repro.engine", "Aggregator"),
+        ("repro.service", "RemoteTreeNetwork"),
+    )
 ] + [pytest.param(partial(_native.set_backend, "numba"), ValueError, id="set_backend-numba")]
 
 
 @pytest.mark.parametrize("action, error", REMOVED)
 def test_removed_surface_stays_removed(action, error):
-    """Deleted modules fail to import and the numba backend is rejected."""
+    """Deleted modules fail to import, deleted names fail to resolve, and
+    the numba backend is rejected."""
     with pytest.raises(error):
         action()
