@@ -423,14 +423,14 @@ class CoordinatorServer:
             # Checked here, not only when the first query builds a network:
             # sites register by the tree's names.
             self.tree.check_matches(site_names, "coordinator")
-            if self.tree.depth > 2 or any(
-                self.tree.node_depth(a) > 1 for a in self.tree.aggregators
-            ):
-                raise ValueError(
-                    "the socket service supports aggregation trees of depth "
-                    f"<= 2 (aggregators as root children); got depth "
-                    f"{self.tree.depth}"
-                )
+        if self.tree is not None and (
+            self.tree.depth > 2
+            or any(self.tree.node_depth(a) > 1 for a in self.tree.aggregators)
+        ):
+            raise ValueError(
+                "the socket service supports aggregation trees of depth <= 2 "
+                f"(aggregators as root children); got depth {self.tree.depth}"
+            )
 
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None

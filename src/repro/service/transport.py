@@ -470,11 +470,11 @@ class RemoteNetwork(Network):
 
     def service_report(self) -> dict[str, Any]:
         """The observed-vs-metered summary shipped with every answer."""
-        self._drain()
+        link_bits = self.link_bits()
         return {
             "rounds": self.rounds,
             "simulated_bits": self.total_bits,
-            "simulated_link_bits": self.link_bits(),
+            "simulated_link_bits": link_bits,
             "wire_bits": self.wire_log.total_bits,
             "wire_link_bits": self.wire_link_bits(),
             "wire_round_bits": self.wire_log.bits_per_round(),
@@ -485,7 +485,9 @@ class RemoteNetwork(Network):
                 for name, rounds in self.observed_round_bytes.items()
             },
             "tree": self.tree.describe(),
-            "root_link_bits": self.root_link_bits(),
+            "root_link_bits": {
+                child: link_bits[child] for child in self.tree.children[self.tree.root]
+            },
         }
 
     def reset(self) -> None:

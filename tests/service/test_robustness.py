@@ -193,3 +193,13 @@ class TestStreamingDegradation:
             assert client.query(
                 "stream_live_heavy_hitters", phi=0.3
             ) == replay.live_heavy_hitters(phi=0.3)
+
+
+def test_a_tree_over_other_sites_fails_when_the_server_is_built():
+    """Sites register by the tree's names, so a spec that does not cover
+    ``site-0..k-1`` must fail at construction, not stall registration."""
+    from repro.comm.tree import TreeSpec
+    from repro.service.server import CoordinatorServer
+
+    with pytest.raises(ValueError, match="tree leaves"):
+        CoordinatorServer(np.eye(4), num_sites=2, tree=TreeSpec.flat(["a", "b"]))
