@@ -493,8 +493,7 @@ class StreamingSession(EstimatorBase):
         #: Live summaries and one-shot queries stay bit-identical to the
         #: flat session (exact integer sketch states merge associatively).
         self.tree = normalize_tree(tree, site_names)
-        builder = transport if transport is not None else IN_PROCESS
-        self.network = builder.build_network(
+        self.network = (transport or IN_PROCESS).build_network(
             site_names, "coordinator", conditions, tree=self.tree
         )
         # The scenario's static dropped-site declarations become the initial
