@@ -9,6 +9,9 @@ its own one-leaf (two-party) network.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -163,3 +166,25 @@ class TestAggregateRoundSemantics:
         assert network.total_bits == 0
         assert network.link("s0").total_bits == 0
         assert network.link("s1").rounds == 0
+
+
+@pytest.mark.parametrize("shape", ["none", "flat", "fan2"])
+def test_no_payload_outlives_its_meter(shape):
+    """The meters keep counts only: once a meter read has drained the
+    staged uploads, no log and no network field holds a sent payload."""
+    names = [f"site-{i}" for i in range(4)]
+    tree = {
+        "none": None,
+        "flat": TreeSpec.flat(names),
+        "fan2": TreeSpec.regular(names, 2),
+    }[shape]
+    network = Network(names, tree=tree)
+    payload = np.ones(4, np.int64)
+    alive = weakref.ref(payload)
+    network.send("site-0", "coordinator", payload, label="up")
+    network.broadcast(payload, label="down")
+    network.upstream_hop("site-1", payload, label="hop")
+    assert network.total_bits > 0
+    del payload
+    gc.collect()
+    assert alive() is None

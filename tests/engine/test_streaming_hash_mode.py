@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro import ClusterEstimator
+from repro.engine.streaming import StreamingSession
 
 
 @pytest.fixture(scope="module")
@@ -65,3 +66,33 @@ def test_invalid_sketch_mode_rejected(binary_pair):
     a, b = binary_pair
     with pytest.raises(ValueError, match="sketch_mode"):
         ClusterEstimator.from_matrix(a, b, 2, seed=79).stream(sketch_mode="turbo")
+
+
+def _meter_cells(network):
+    return len(network.log.messages) + sum(
+        len(link.messages) for link in network.links.values()
+    )
+
+
+@pytest.mark.parametrize("tree", [None, 2])
+def test_meters_stay_constant_size_over_500_epochs(tree):
+    """A long session's meters keep counts, not one entry per shipped delta:
+    their size after epoch 10 is their size after epoch 500."""
+    rng = np.random.default_rng(909)
+    k, rows_per_site = 4, 8
+    b = rng.integers(0, 3, size=(4, 4))
+    session = StreamingSession(
+        [rows_per_site] * k, b, seed=17, sketch_mode="hash", tree=tree
+    )
+    sizes = {}
+    for epoch in range(1, 501):
+        for index, site in enumerate(session.sites):
+            start = site.row_offset + (2 * epoch) % rows_per_site
+            rows = np.arange(start, start + 2)
+            session.ingest(index, rows, rng.integers(-2, 3, size=(2, 4)))
+        session.end_epoch()
+        if epoch in (10, 500):
+            sizes[epoch] = _meter_cells(session.network)
+    assert sizes[500] == sizes[10]
+    if tree is None:
+        assert session.network.total_bits == 8 * session.history[-1].cumulative_bytes
