@@ -13,8 +13,9 @@ k-site generalization:
 
 * :mod:`repro.comm.bitcost` — the single place where "how many bits does this
   payload cost" is defined, so the accounting assumptions are auditable.
-* :mod:`repro.comm.accounting` — the message log and direction-flip round
-  counter shared by every metered transport.
+* :mod:`repro.comm.accounting` — the bit meter (running counts per
+  round, sender, receiver and label; no payloads kept) and direction-flip
+  round counter shared by every metered transport.
 * :class:`repro.comm.network.Network` — the one in-process network (k
   sites around a coordinator, routed over the flat star or an aggregation
   :class:`~repro.comm.tree.TreeSpec`) with per-edge and aggregate meters.

@@ -1,11 +1,18 @@
 """Shared bit/round accounting for metered transports.
 
-Every metered transport — the star-topology
-:class:`repro.comm.network.Network`, its aggregate log and each of its
-per-link logs — charges messages the same way: every message carries a bit
-cost, and a *round* counter increments whenever the direction of
-communication flips.  This module holds the common machinery so the meters
-cannot drift apart.
+Every metered transport — the in-process :class:`repro.comm.network
+.Network`, its aggregate log and each of its per-link logs — charges
+messages the same way: every message carries a bit cost, and a *round*
+counter increments whenever the direction of communication flips.  This
+module holds the common machinery so the meters cannot drift apart.
+
+The meters keep **counts, not messages**.  A :class:`MessageLog` holds one
+integer per ``(round, sender, receiver, label)`` *cell*, in the order the
+cells first appear, plus a running total and per-sender totals; no payload
+is ever kept.  So a log's size is bounded by the number of distinct cells,
+not by how many messages it metered: a streaming session that ships one
+delta per site per epoch, all upstream, stays at one cell per edge however
+long it runs.
 
 Round semantics
 ---------------
@@ -25,32 +32,42 @@ from __future__ import annotations
 
 import threading
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Any, Hashable
+from dataclasses import dataclass
+from typing import Hashable
 
 
-@dataclass
+@dataclass(frozen=True)
 class Message:
-    """One message recorded on a metered transport."""
+    """One cell of a :class:`MessageLog`: every message one sender sent one
+    receiver under one label in one round, summed into ``bits``.
+
+    Messages that share the cell are indistinguishable to every meter and
+    to both makespan models (a link's burst in a round is its summed bits),
+    so the log keeps them as one.
+    """
 
     sender: str
     receiver: str
     label: str
     bits: int
     round_index: int
-    payload: Any = field(repr=False, default=None)
 
 
 class MessageLog:
-    """Append-only message record with bit and round accounting.
+    """Bit and round meter over running counts, with no payload kept.
 
-    Transports (network links and network aggregates) own one log
-    each and feed it via :meth:`record`; all derived statistics — totals,
-    per-sender bits, per-label and per-round breakdowns — live here.
+    Transports (network links and network aggregates) own one log each and
+    feed it via :meth:`record`; all derived statistics — totals, per-sender
+    bits, per-label and per-round breakdowns — live here.  ``total_bits``,
+    ``rounds`` and :meth:`bits_sent_by` are O(1); the breakdowns and the
+    :attr:`messages` view are O(cells).
     """
 
     def __init__(self) -> None:
-        self.messages: list[Message] = []
+        #: (round, sender, receiver, label) -> bits, in first-appearance order.
+        self._cells: dict[tuple[int, str, str, str], int] = {}
+        self._total_bits = 0
+        self._sender_bits: Counter[str] = Counter()
         self._last_key: Hashable | None = None
         self._round = 0
 
@@ -59,13 +76,12 @@ class MessageLog:
         self,
         sender: str,
         receiver: str,
-        payload: Any,
         *,
         label: str = "",
         bits: int,
         direction_key: Hashable | None = None,
-    ) -> Message:
-        """Append a message, advancing the round counter on direction flips.
+    ) -> None:
+        """Count one message, advancing the round counter on direction flips.
 
         ``direction_key`` defaults to the sender (two-party semantics); a
         star network passes its up/down direction instead.
@@ -76,22 +92,28 @@ class MessageLog:
         if key != self._last_key:
             self._round += 1
             self._last_key = key
-        message = Message(
-            sender=sender,
-            receiver=receiver,
-            label=label,
-            bits=int(bits),
-            round_index=self._round,
-            payload=payload,
-        )
-        self.messages.append(message)
-        return message
+        bits = int(bits)
+        cell = (self._round, sender, receiver, label)
+        self._cells[cell] = self._cells.get(cell, 0) + bits
+        self._total_bits += bits
+        self._sender_bits[sender] += bits
 
     # ------------------------------------------------------------ accounting
     @property
+    def messages(self) -> list[Message]:
+        """The cells as :class:`Message` records, in first-appearance order.
+
+        Built when read; changing the list does not change the log.
+        """
+        return [
+            Message(sender, receiver, label, bits, round_index)
+            for (round_index, sender, receiver, label), bits in self._cells.items()
+        ]
+
+    @property
     def total_bits(self) -> int:
         """Total bits recorded so far."""
-        return sum(message.bits for message in self.messages)
+        return self._total_bits
 
     @property
     def rounds(self) -> int:
@@ -100,39 +122,43 @@ class MessageLog:
 
     def bits_sent_by(self, sender: str) -> int:
         """Total bits sent by one endpoint."""
-        return sum(message.bits for message in self.messages if message.sender == sender)
+        return self._sender_bits.get(sender, 0)
 
     def bits_by_label(self) -> dict[str, int]:
         """Total bits grouped by message label (for cost breakdowns)."""
-        breakdown: Counter[str] = Counter()
-        for message in self.messages:
-            breakdown[message.label] += message.bits
-        return dict(breakdown)
+        breakdown: dict[str, int] = {}
+        for (_, _, _, label), bits in self._cells.items():
+            breakdown[label] = breakdown.get(label, 0) + bits
+        return breakdown
 
     def bits_per_round(self) -> dict[int, int]:
-        """Total bits grouped by round index (1-based, ascending)."""
-        breakdown: Counter[int] = Counter()
-        for message in self.messages:
-            breakdown[message.round_index] += message.bits
-        return dict(sorted(breakdown.items()))
+        """Total bits grouped by round index (1-based, ascending).
+
+        Rounds only advance, so first-appearance order is ascending.
+        """
+        breakdown: dict[int, int] = {}
+        for (round_index, _, _, _), bits in self._cells.items():
+            breakdown[round_index] = breakdown.get(round_index, 0) + bits
+        return breakdown
 
     def per_round(self) -> dict[int, list[Message]]:
-        """Messages grouped by round index (1-based, ascending).
+        """The :attr:`messages` view grouped by round index (ascending).
 
         The round structure is the synchronization structure of a protocol:
         everything inside one round could be in flight simultaneously, while
-        rounds are sequential.  The makespan model
-        (:func:`repro.comm.conditions.simulate_makespan`) consumes this
-        grouping directly.
+        rounds are sequential.  The makespan models
+        (:mod:`repro.comm.conditions`) consume this grouping directly.
         """
         batches: dict[int, list[Message]] = {}
         for message in self.messages:
             batches.setdefault(message.round_index, []).append(message)
-        return dict(sorted(batches.items()))
+        return batches
 
     def reset(self) -> None:
         """Clear all recorded traffic (used when reusing a transport)."""
-        self.messages.clear()
+        self._cells.clear()
+        self._total_bits = 0
+        self._sender_bits.clear()
         self._last_key = None
         self._round = 0
 

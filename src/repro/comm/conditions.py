@@ -247,11 +247,12 @@ def simulate_makespan(
 
     ``rounds`` is the round grouping a :class:`repro.comm.accounting
     .MessageLog` exposes via :meth:`~repro.comm.accounting.MessageLog
-    .per_round`.  Returns ``(total makespan seconds, per-round
-    makespans)``.  Each message is attributed to its coordinator-site link
-    (the non-hub endpoint); per round, link bursts transfer in parallel,
-    so the round's time is the maximum over its active links, and rounds
-    are sequential.
+    .per_round`: per round, its cells, each the summed bits of one
+    ``(sender, receiver, label)``.  Returns ``(total makespan seconds,
+    per-round makespans)``.  Each cell is attributed to its
+    coordinator-site link (the non-hub endpoint) and a link's cells sum to
+    its burst; per round, link bursts transfer in parallel, so the round's
+    time is the maximum over its active links, and rounds are sequential.
     """
     per_round: dict[int, float] = {}
     for round_index, messages in sorted(rounds.items()):
@@ -282,11 +283,15 @@ def simulate_tree_makespan(
     the existing experiments and stay untouched).  A tree transcript is
     priced the way a hierarchy actually drains:
 
-    * every message belongs to one tree **edge**, keyed by its child
+    * ``rounds`` is :meth:`~repro.comm.accounting.MessageLog.per_round`'s
+      grouping: per round, its cells, each the summed bits of one
+      ``(sender, receiver, label)``;
+    * every cell belongs to one tree **edge**, keyed by its child
       endpoint; the edge's :class:`LinkModel` resolves via
       :meth:`NetworkConditions.edge_link` (override > nearest region >
       default);
-    * per round, messages group by **receiver node**.  A node's ingress is
+    * per round, cells group by **receiver node**, and an edge's cells sum
+      to its burst.  A node's ingress is
       serialized — propagation overlaps, payload drain does not — so its
       time is ``max(latency + jitter over incoming edges) + sum(bits /
       bandwidth over incoming edges)``.  This is exactly the fan-in

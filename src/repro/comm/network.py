@@ -16,7 +16,9 @@ drain bottom-up as one forwarded message per sibling group, so the root's
 fan-in is the fan-out instead of k (see :class:`Network`).
 
 Accounting contract (via the shared
-:class:`repro.comm.accounting.MessageLog`):
+:class:`repro.comm.accounting.MessageLog`, which keeps running bit counts
+per ``(round, sender, receiver, label)`` cell and never a payload, so the
+meters' memory does not grow with the traffic they meter):
 
 * an *aggregate* log meters ``total_bits``, ``rounds``, ``bits_by_label``
   and ``bits_per_round`` across the whole network.  Its round counter flips
@@ -28,6 +30,11 @@ Accounting contract (via the shared
   site or an aggregator), meters the same quantities restricted to that
   edge, with the two-party (sender-flip) round semantics.
   ``max_link_bits`` is the busiest edge.
+* payloads live only while they are in flight: the protocol bodies hold
+  their own, and an aggregator holds its staged uploads until the next
+  meter read or direction flip drains them.  Totals, rounds and
+  per-sender bits are O(1) reads; a read with nothing staged skips the
+  drain in O(1) too.
 
 A network optionally carries :class:`repro.comm.conditions
 .NetworkConditions` (per-link latency/bandwidth/jitter models); the
@@ -190,6 +197,8 @@ class Network:
         self._staged: dict[str, list[tuple[str, Any, int]]] = {
             agg: [] for agg in self.tree.aggregators
         }
+        #: Entries across every ``_staged`` list, so an empty drain is O(1).
+        self._staged_count = 0
         self.merge_runtime = merge_runtime
         self.merge_seconds = 0.0
         self.merges = 0
@@ -256,6 +265,7 @@ class Network:
             parent = self.tree.parent[site]
             if parent != self.coordinator_name:
                 self._staged[parent].append((label, payload, bits))
+                self._staged_count += 1
         else:
             self._drain()
             self._deliver_downstream(self.tree.path_edges(site), payload, label, bits)
@@ -329,17 +339,17 @@ class Network:
         parent = self.tree.parent[child]
         sender, receiver = (child, parent) if direction == UPSTREAM else (parent, child)
         self.log.record(
-            sender, receiver, payload, label=label, bits=bits, direction_key=direction
+            sender, receiver, label=label, bits=bits, direction_key=direction
         )
-        self.links[child].record(sender, receiver, payload, label=label, bits=bits)
+        self.links[child].record(sender, receiver, label=label, bits=bits)
 
     # ------------------------------------------------------------------ drain
     def _drain(self) -> None:
         """Flush staged uploads bottom-up: one forwarded message per group."""
-        if not any(self._staged.values()):
+        if not self._staged_count:
             return
         started = time.perf_counter()
-        while any(self._staged.values()):
+        while self._staged_count:
             depth = max(
                 self.tree.node_depth(agg)
                 for agg, entries in self._staged.items()
@@ -355,6 +365,7 @@ class Network:
             grouped: dict[tuple[str, str], list[tuple[Any, int]]] = {}
             for agg in level:
                 entries, self._staged[agg] = self._staged[agg], []
+                self._staged_count -= len(entries)
                 for label, payload, bits in entries:
                     key = (agg, label)
                     if key not in grouped:
@@ -396,6 +407,7 @@ class Network:
                 parent = self.tree.parent[agg]
                 if parent != self.coordinator_name:
                     self._staged[parent].append((label, payload, bits))
+                    self._staged_count += 1
         self.merge_seconds += time.perf_counter() - started
 
     # ------------------------------------------------------------ accounting
@@ -496,6 +508,7 @@ class Network:
         """Clear all recorded traffic and staged uploads on every edge."""
         for agg in self._staged:
             self._staged[agg] = []
+        self._staged_count = 0
         self.log.reset()
         for meter in self.links.values():
             meter.reset()

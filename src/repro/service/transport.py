@@ -318,16 +318,9 @@ class RemoteNetwork(Network):
             (edge, parent) if direction == UPSTREAM else (parent, edge)
         )
         self.wire_log.record(
-            sender,
-            receiver,
-            None,
-            label=label,
-            bits=8 * body_bytes,
-            direction_key=direction,
+            sender, receiver, label=label, bits=8 * body_bytes, direction_key=direction
         )
-        self.wire_links[edge].record(
-            sender, receiver, None, label=label, bits=8 * body_bytes
-        )
+        self.wire_links[edge].record(sender, receiver, label=label, bits=8 * body_bytes)
 
     # ------------------------------------------------------------- crossings
     def _record_hop(
@@ -335,8 +328,7 @@ class RemoteNetwork(Network):
     ) -> None:
         super()._record_hop(child, direction, payload, label, bits)
         if direction == UPSTREAM:
-            round_index = self.log.messages[-1].round_index
-            self._cross_upstream(child, payload, label, round_index)
+            self._cross_upstream(child, payload, label, self.log.rounds)
 
     def _cross_upstream(
         self, child: str, payload: Any, label: str, round_index: int
@@ -399,7 +391,7 @@ class RemoteNetwork(Network):
     ) -> None:
         """One physical frame per root-child subtree, payload encoded once."""
         super()._deliver_downstream(edge_children, payload, label, bits)
-        round_index = self.log.messages[-1].round_index
+        round_index = self.log.rounds
         blob = encode_payload(payload)
         body_bytes = len(blob) - PAYLOAD_TAG_BYTES
         digest = payload_digest(blob)

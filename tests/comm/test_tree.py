@@ -12,6 +12,7 @@ instead of k.  That last sentence is the whole point of the tree, and
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -142,8 +143,28 @@ def _upload_all(net, payloads, label="up"):
         net.send(name, net.coordinator_name, payload, label=label)
 
 
+Hop = namedtuple("Hop", "sender receiver payload")
+
+
+def _spy_on_hops(monkeypatch):
+    """Record every hop a network meters, payload included (the meters
+    themselves keep bit counts only)."""
+    hops = []
+    record_hop = Network._record_hop
+
+    def spy(self, child, direction, payload, label, bits):
+        parent = self.tree.parent[child]
+        sender, receiver = (child, parent) if direction == UPSTREAM else (parent, child)
+        hops.append(Hop(sender, receiver, payload))
+        record_hop(self, child, direction, payload, label, bits)
+
+    monkeypatch.setattr(Network, "_record_hop", spy)
+    return hops
+
+
 class TestTreeNetworkUpstream:
-    def test_mergeable_group_forwards_one_summary_at_max_child_bits(self):
+    def test_mergeable_group_forwards_one_summary_at_max_child_bits(self, monkeypatch):
+        hops = _spy_on_hops(monkeypatch)
         tree = TreeSpec.regular(_sites(4), 2)
         net = TreeNetwork(tree.site_names, tree=tree)
         payloads = [np.full(8, i, dtype=np.int64) for i in range(4)]
@@ -157,7 +178,7 @@ class TestTreeNetworkUpstream:
         assert bits["agg-0-1"] == leaf_bits
         # And the forwarded payload IS the exact entrywise sum.
         merged = [
-            m for m in net.log.messages if m.sender == "agg-0-0"
+            m for m in hops if m.sender == "agg-0-0"
         ]
         assert len(merged) == 1
         np.testing.assert_array_equal(merged[0].payload, payloads[0] + payloads[1])
@@ -171,7 +192,8 @@ class TestTreeNetworkUpstream:
             assert len(root) == 2  # fan-in is the fan-out, whatever k is
             assert net.max_root_link_bits == net.link_bits()["site-0"]
 
-    def test_unmergeable_group_batches_at_summed_bits(self):
+    def test_unmergeable_group_batches_at_summed_bits(self, monkeypatch):
+        hops = _spy_on_hops(monkeypatch)
         tree = TreeSpec.regular(_sites(4), 2)
         net = TreeNetwork(tree.site_names, tree=tree)
         # float payloads are never merged (lossy); they batch-forward.
@@ -179,7 +201,7 @@ class TestTreeNetworkUpstream:
         _upload_all(net, payloads)
         bits = net.link_bits()
         assert bits["agg-0-0"] == bits["site-0"] + bits["site-1"]
-        batched = [m for m in net.log.messages if m.sender == "agg-0-0"]
+        batched = [m for m in hops if m.sender == "agg-0-0"]
         assert isinstance(batched[0].payload, list)
         assert len(batched[0].payload) == 2
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.comm.network import TreeNetwork
+from repro.comm.network import UPSTREAM, Network, TreeNetwork
 from repro.comm.tree import TreeSpec
 from repro.sketch import AmsSketch, CountSketch, L0Sampler, L0Sketch
 
@@ -102,6 +102,21 @@ def _tree_merge(template, node, sketches):
     return sketches[node]
 
 
+def _root_ingress_spy(monkeypatch, root):
+    """Record the payload of every hop into ``root`` (the meters
+    themselves keep bit counts only)."""
+    ingress = []
+    record_hop = Network._record_hop
+
+    def spy(self, child, direction, payload, label, bits):
+        if direction == UPSTREAM and self.tree.parent[child] == root:
+            ingress.append(payload)
+        record_hop(self, child, direction, payload, label, bits)
+
+    monkeypatch.setattr(Network, "_record_hop", spy)
+    return ingress
+
+
 def _same_state(left, right):
     a, b = left.state_array(), right.state_array()
     if a is None or b is None:
@@ -134,14 +149,11 @@ def test_tree_network_drain_reproduces_the_flat_merge(family, case):
     net = TreeNetwork(site_names, tree=tree)
     template = FAMILIES[family](np.random.default_rng(7))
     sketches = _site_sketches(template, updates)
-    for name, sketch in zip(site_names, sketches):
-        net.send(name, tree.root, sketch, label="partial", bits=128)
-    assert net.total_bits > 0  # property read forces the drain
-    root_ingress = [
-        message.payload
-        for message in net.log.messages
-        if message.receiver == tree.root
-    ]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        root_ingress = _root_ingress_spy(monkeypatch, tree.root)
+        for name, sketch in zip(site_names, sketches):
+            net.send(name, tree.root, sketch, label="partial", bits=128)
+        assert net.total_bits > 0  # property read forces the drain
     assert len(root_ingress) == len(tree.children[tree.root])
     folded = template.empty_copy()
     for payload in root_ingress:
