@@ -33,7 +33,10 @@ from repro.sketch.mergeable import (
 #: chunks of :data:`_CHUNK` keys so memory stays bounded.
 _DENSE_CACHE_MAX = 1 << 22
 
-#: Keys hashed per chunk in streamed full-universe operations.
+#: Block budget of streamed full-universe operations: scalar tables hash
+#: ``_CHUNK`` keys per block; :meth:`CountSketch.query_rows` steps by
+#: ``_CHUNK // (depth * m)`` keys, so each of its temporaries holds at most
+#: ``_CHUNK`` float64 estimates (8 MiB) whatever the row width ``m``.
 _CHUNK = 1 << 20
 
 
@@ -374,8 +377,10 @@ class CountSketch:
             self._ensure_dense_cache()
         out = np.empty((self.n, self.table.shape[2]))
         rows = np.arange(self.depth)[:, None]
-        for start in range(0, self.n, _CHUNK):
-            keys = np.arange(start, min(start + _CHUNK, self.n))
+        # The per-key median does not depend on the blocking.
+        step = max(1, _CHUNK // (self.depth * self.table.shape[2]))
+        for start in range(0, self.n, step):
+            keys = np.arange(start, min(start + step, self.n))
             estimates = (
                 self._batch_signs(keys)[:, :, None]
                 * self.table[rows, self._batch_buckets(keys)]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,30 @@ class TestVectorCountSketch:
         assert estimates.shape == (n, m)
         assert np.allclose(estimates[7], a[7], atol=40)
         assert estimates[41, 3] == pytest.approx(-200, abs=40)
+
+    def test_query_rows_equals_the_unblocked_per_key_median(self, rng):
+        n, m = 10_000, 64  # several query blocks at depth 5
+        a = np.random.default_rng(5).integers(-3, 4, size=(n, m))
+        sketch = CountSketch(n, 64, 5, rng)
+        sketch.update_many(np.arange(n), a)
+        gathered = sketch.sign_of[:, :, None] * sketch.table[
+            np.arange(5)[:, None], sketch.bucket_of
+        ]
+        np.testing.assert_array_equal(
+            sketch.query_rows(), np.median(gathered, axis=0)
+        )
+
+    def test_query_rows_peak_memory_is_bounded_in_bytes(self, rng):
+        n, m = 1 << 15, 64
+        sketch = CountSketch(n, 64, 5, rng)
+        sketch.update_many(np.arange(64), np.ones((64, m), dtype=np.int64))
+        tracemalloc.start()
+        try:
+            sketch.query_rows()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20  # the output alone is 16 MiB
 
     def test_vector_updates_are_linear_in_chunks(self, rng):
         n, m = 40, 6
