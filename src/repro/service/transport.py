@@ -391,6 +391,8 @@ class RemoteNetwork(Network):
     ) -> None:
         """One physical frame per root-child subtree, payload encoded once."""
         super()._deliver_downstream(edge_children, payload, label, bits)
+        if not edge_children:
+            return
         round_index = self.log.rounds
         blob = encode_payload(payload)
         body_bytes = len(blob) - PAYLOAD_TAG_BYTES

@@ -68,6 +68,19 @@ class TestStarTopologyRules:
             network.broadcast(b"x", bits=8, sites=["site-0", "nope"])
         assert network.total_bits == 0
 
+    @pytest.mark.parametrize("shape", ["none", "flat", "fan2"])
+    def test_empty_broadcast_meters_nothing(self, shape):
+        names = [f"site-{i}" for i in range(4)]
+        tree = {
+            "none": None,
+            "flat": TreeSpec.flat(names),
+            "fan2": TreeSpec.regular(names, 2),
+        }[shape]
+        network = Network(names, tree=tree)
+        payload = b"x"
+        assert network.broadcast(payload, bits=8, sites=[]) is payload
+        assert (network.total_bits, network.rounds) == (0, 0)
+
     def test_tree_must_match_the_sites_and_the_coordinator(self):
         names = ["s0", "s1"]
         with pytest.raises(ValueError, match="tree leaves"):

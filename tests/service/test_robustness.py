@@ -203,3 +203,36 @@ def test_a_tree_over_other_sites_fails_when_the_server_is_built():
 
     with pytest.raises(ValueError, match="tree leaves"):
         CoordinatorServer(np.eye(4), num_sites=2, tree=TreeSpec.flat(["a", "b"]))
+
+
+class _FrameRefusingLink:
+    """A site link stub that fails the test if any frame is sent on it."""
+
+    def __init__(self, site_name: str) -> None:
+        self.site_name = site_name
+
+    def request(self, message, timeout=None):
+        pytest.fail(f"{message.type!r} frame sent to {self.site_name!r}")
+
+    def submit(self, message, *, flush=True):
+        pytest.fail(f"{message.type!r} frame sent to {self.site_name!r}")
+
+
+@pytest.mark.parametrize("fan_out", [None, 2])
+def test_an_empty_broadcast_meters_nothing_and_sends_no_frame(fan_out, monkeypatch):
+    from repro.comm.tree import TreeSpec
+    from repro.service import transport
+    from repro.service.transport import RemoteNetwork
+
+    monkeypatch.setattr(
+        transport, "encode_payload", lambda payload: pytest.fail("payload encoded")
+    )
+    names = [f"site-{i}" for i in range(4)]
+    tree = TreeSpec.flat(names) if fan_out is None else TreeSpec.regular(names, fan_out)
+    links = {name: _FrameRefusingLink(name) for name in names + tree.aggregators}
+    network = RemoteNetwork(names, tree=tree, links=links)
+    payload = b"x"
+    assert network.broadcast(payload, bits=8, sites=[]) is payload
+    report = network.service_report()
+    assert (report["rounds"], report["simulated_bits"], report["wire_bits"]) == (0, 0, 0)
+    assert report["observed_bytes"] == 0
