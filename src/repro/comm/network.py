@@ -87,15 +87,16 @@ def _payloads_mergeable(payloads: Sequence[Any]) -> bool:
     from repro.sketch.mergeable import MergeableSketch
 
     first = payloads[0]
-    if isinstance(first, MergeableSketch):
-        return all(type(p) is type(first) for p in payloads)
-    if isinstance(first, np.ndarray) and first.dtype.kind in "iub":
-        return all(
+    # Arrays first: the structural (Protocol) isinstance check is ~100x slower.
+    if isinstance(first, np.ndarray):
+        return first.dtype.kind in "iub" and all(
             isinstance(p, np.ndarray)
             and p.shape == first.shape
             and p.dtype == first.dtype
             for p in payloads
         )
+    if isinstance(first, MergeableSketch):
+        return all(type(p) is type(first) for p in payloads)
     return False
 
 
