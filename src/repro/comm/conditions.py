@@ -291,12 +291,12 @@ def simulate_tree_makespan(
       :meth:`NetworkConditions.edge_link` (override > nearest region >
       default);
     * per round, cells group by **receiver node**, and an edge's cells sum
-      to its burst.  A node's ingress is
-      serialized — propagation overlaps, payload drain does not — so its
-      time is ``max(latency + jitter over incoming edges) + sum(bits /
-      bandwidth over incoming edges)``.  This is exactly the fan-in
-      bottleneck the tree exists to break: a flat root receives k bursts
-      back to back, a fan-out-F node only F;
+      to its burst.  A node's ingress is serialized — propagation
+      overlaps, payload drain does not — so its time is ``max(latency +
+      jitter over incoming edges) + sum(bits / bandwidth over incoming
+      edges)``.  This is exactly the fan-in bottleneck the tree exists to
+      break: a flat root receives k bursts back to back, a fan-out-F node
+      only F;
     * nodes at the same depth work in parallel, while levels are
       sequential (a parent cannot forward before its children delivered),
       so the round's time is the sum over depths of the slowest receiver
