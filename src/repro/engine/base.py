@@ -157,7 +157,11 @@ class StarProtocol:
         shards, site_names, dropout_details = self._apply_dropout(
             shards, site_names, conditions, tree=spec
         )
-        if dropout_details is not None and dropout_details.get("stragglers"):
+        if (
+            conditions is not None
+            and dropout_details is not None
+            and dropout_details.get("stragglers")
+        ):
             # Stragglers keep their link overrides but leave the sub-star,
             # exactly like pre-declared dropped sites.
             conditions = conditions.excluding(dropout_details["stragglers"])

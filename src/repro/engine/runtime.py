@@ -231,6 +231,8 @@ class QuorumPolicy:
             raise ValueError(
                 f"quorum expects n={n} sites but the cluster has only {k}"
             )
+        if n - self.f < 1:
+            raise ValueError(f"quorum n - f must be >= 1, got n={n}, f={self.f}")
         return n - self.f
 
 

@@ -131,6 +131,45 @@ class TestQuorumOneShot:
         with pytest.raises(ValueError, match="deadline"):
             QuorumPolicy(f=1, deadline=0.0)
 
+    @pytest.mark.parametrize("quorum", [QuorumPolicy(f=NUM_SITES + 1), NUM_SITES])
+    def test_f_at_least_the_site_count_is_rejected(self, quorum):
+        """Without an explicit n the bound ``n - f >= 1`` is checked against
+        the live site count: a runtime or session that would answer from
+        no site (or from a negative slice) fails instead."""
+        names = [f"site-{i}" for i in range(NUM_SITES)]
+        with pytest.raises(ValueError, match="n - f"):
+            Runtime(quorum=quorum).partition_quorum(names)
+        shards, b = _data()
+        with pytest.raises(ValueError, match="n - f"):
+            ClusterEstimator(shards, b, seed=SEED).stream(quorum=quorum)
+        with pytest.raises(ValueError, match="n - f"):
+            ClusterEstimator(
+                shards, b, seed=SEED, runtime=Runtime(quorum=quorum)
+            ).stream()
+
+    def test_quorum_without_conditions_answers_like_ideal_conditions(self):
+        """A quorum runtime needs no network conditions: with every link
+        ideal, the fastest ``n - f`` are the first sites in site order."""
+        shards, b = _data()
+        a = np.vstack(shards)
+
+        def answer(conditions):
+            return ClusterEstimator.from_matrix(
+                a,
+                b,
+                NUM_SITES,
+                seed=1,
+                runtime=Runtime(quorum=1, dropout="exclude"),
+                conditions=conditions,
+            ).lp_norm(2.0, 0.3)
+
+        bare, ideal = answer(None), answer(NetworkConditions())
+        assert bare.value == ideal.value
+        assert bare.cost.total_bits == ideal.cost.total_bits
+        contributing = bare.details["dropout"]["contributing_sites"]
+        assert contributing == ideal.details["dropout"]["contributing_sites"]
+        assert contributing == ["site-0", "site-1", "site-2"]
+
 
 def _batches(shards):
     offset = 0

@@ -9,17 +9,23 @@ The serial-equivalence guarantee (``engine/runtime.py``) has two halves:
   meters (total, per-label, per-round, per-link, per-site) — for every
   protocol family, at k in {1, 2, 4}.  That is what this module pins.
 
-The family list deliberately includes a ``p != 1`` heavy-hitters run: that
-protocol consumes each site's private generator in *two* separated fan-out
-phases (the lp-norm subroutine, then entry sampling), so it fails unless
-``Runtime.map_sites`` correctly restores generators advanced inside worker
-processes.
+The family list includes a ``p != 1`` heavy-hitters run: that protocol
+consumes each site's private generator in *two* separated fan-out phases
+(the lp-norm subroutine, then entry sampling).  In process the task
+advances the site's own generator, so the executors above cannot tell
+whether ``Runtime.map_sites`` restores the returned one.
+``test_map_sites_restores_generators_that_crossed_a_pickle`` pins that
+restore with a runtime that pickles every task and result, as
+``repro.service.transport.RemoteRuntime`` does over TCP.
 
 Dropout policies and the streaming session's executor invariance are
 covered at the bottom.
 """
 
 from __future__ import annotations
+
+import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -54,8 +60,7 @@ FAMILIES = [
     ("linf-kappa", lambda: StarKappaApproxLinfProtocol(6, seed=SEED), False),
     ("linf-general", lambda: StarGeneralMatrixLinfProtocol(4, seed=SEED), True),
     ("hh-general", lambda: StarHeavyHittersProtocol(0.1, 0.05, seed=SEED), True),
-    # Two rng-consuming fan-out phases per site (lp subroutine + sampling):
-    # exercises generator restoration across process boundaries.
+    # Two rng-consuming fan-out phases per site (lp subroutine + sampling).
     ("hh-general-p2", lambda: StarHeavyHittersProtocol(0.1, 0.05, p=2.0, seed=SEED), True),
     ("hh-binary", lambda: StarBinaryHeavyHittersProtocol(0.1, 0.05, seed=SEED), False),
 ]
@@ -143,6 +148,37 @@ def test_runtime_rejects_unknown_executor_and_policy():
         Runtime(dropout="retry")
     with pytest.raises(ValueError):
         Runtime(max_workers=0)
+
+
+class _PicklingRuntime(Runtime):
+    """Ships every task and result through pickle, as ``RemoteRuntime``
+    does over TCP: a task draws from a *copy* of the site's generator."""
+
+    def map(self, fn, tasks):
+        shipped = [pickle.loads(pickle.dumps(task)) for task in tasks]
+        return [pickle.loads(pickle.dumps(fn(*task))) for task in shipped]
+
+
+def _draw(rng, size):
+    return rng.integers(0, 2**62, size=size), rng
+
+
+def test_map_sites_restores_generators_that_crossed_a_pickle():
+    def two_draws(runtime):
+        sites = [SimpleNamespace(rng=np.random.default_rng(70 + i)) for i in range(3)]
+        draws = [
+            runtime.map_sites(_draw, sites, [(4,)] * len(sites)) for _ in range(2)
+        ]
+        return draws, [site.rng.bit_generator.state for site in sites]
+
+    serial_draws, serial_states = two_draws(Runtime())
+    pickled_draws, pickled_states = two_draws(_PicklingRuntime())
+    for first, second in zip(*serial_draws):
+        assert not np.array_equal(first, second)  # the second draw moved on
+    for ours, theirs in zip(serial_draws, pickled_draws):
+        for mine, other in zip(ours, theirs):
+            np.testing.assert_array_equal(mine, other)
+    assert pickled_states == serial_states
 
 
 def test_estimator_facade_accepts_runtime(binary_pair, concurrent_runtime):
