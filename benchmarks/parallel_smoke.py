@@ -1,23 +1,21 @@
 #!/usr/bin/env python
-"""CI gate for the parallel ingest path (the ``parallel-smoke`` job).
+"""CI gate for the threaded streaming path (the ``parallel-smoke`` job).
 
-Runs the same streamed workload through a serial session and through
-resident-mode sessions (``Runtime(persistent=True)``, threads and
-processes), under whatever kernel backend ``REPRO_KERNELS`` selects, and
-gates on three things:
+Runs the same streamed workload through a serial session and through a
+session on ``Runtime("threads")``, under whatever kernel backend
+``REPRO_KERNELS`` selects, and gates on two things:
 
-1. **No crashes** — resident workers, shared-memory arenas and the
-   compiled kernels must survive a real multi-epoch run with the worker
-   count ``REPRO_WORKERS`` requests.
+1. **No crashes** — the thread pool and the compiled kernels must survive
+   a real multi-epoch run with the worker count ``REPRO_WORKERS``
+   requests.
 2. **Bit-exactness** — every epoch report, the byte meter and all merged
-   summary states must equal the serial run's, byte for byte.  Resident
-   mode and the compiled kernels are performance modes, never semantics.
-3. **Parallel efficiency** — on hosts with at least two usable cores the
-   resident ``processes`` run must not fall below
-   ``REPRO_PARALLEL_FLOOR`` (default 1.0) times serial throughput: a
-   regression that makes parallel ingest *slower* than serial fails CI.
-   Single-core hosts skip the floor (the honest expectation there is
-   ~1/workers) but still enforce crash-freedom and exactness.
+   summary states must equal the serial run's, byte for byte.  The
+   executor and the compiled kernels are performance choices, never
+   semantics.
+
+The threads/serial throughput ratio is printed, not gated: on a 2-CPU
+host it ranges from about 0.85x to 1.35x on this workload, so any floor
+would flake.
 
 Exit code 0 = all gates pass.
 """
@@ -81,7 +79,6 @@ def run(runtime: Runtime | None, row_counts, b, plan):
 def main() -> int:
     workers = _default_workers()
     cores = len(os.sched_getaffinity(0))
-    floor = float(os.environ.get("REPRO_PARALLEL_FLOOR", "1.0"))
     total_rows = EPOCHS * BATCHES_PER_EPOCH * ROWS_PER_BATCH
     print(
         f"parallel smoke: kernel backend={current_backend()!r} "
@@ -90,36 +87,20 @@ def main() -> int:
 
     row_counts, b, plan = build_workload(sites=max(workers, 2))
     reference, serial_seconds = run(None, row_counts, b, plan)
-    print(f"  serial:               {total_rows / serial_seconds:>12,.0f} rows/s")
+    print(f"  serial:  {total_rows / serial_seconds:>12,.0f} rows/s")
 
-    failures = []
-    speedups = {}
-    for executor in ("threads", "processes"):
-        with Runtime(executor, persistent=True) as runtime:
-            transcript, seconds = run(runtime, row_counts, b, plan)
-        speedups[executor] = serial_seconds / seconds
+    with Runtime("threads") as runtime:
+        transcript, seconds = run(runtime, row_counts, b, plan)
+    print(
+        f"  threads: {total_rows / seconds:>12,.0f} rows/s"
+        f"  ({serial_seconds / seconds:.2f}x serial)"
+    )
+    if transcript != reference:
         print(
-            f"  {executor + '-persistent:':<22}{total_rows / seconds:>12,.0f} rows/s"
-            f"  ({speedups[executor]:.2f}x serial)"
+            "\nPARALLEL SMOKE FAILURE: the threads run diverged from the "
+            "serial transcript",
+            file=sys.stderr,
         )
-        if transcript != reference:
-            failures.append(
-                f"resident {executor} run diverged from the serial transcript"
-            )
-
-    if cores >= 2:
-        if speedups["processes"] < floor:
-            failures.append(
-                f"resident processes ingest is {speedups['processes']:.2f}x serial "
-                f"on a {cores}-core host (floor: {floor:.2f}x)"
-            )
-    else:
-        print(f"  single usable core: efficiency floor skipped (exactness gated)")
-
-    if failures:
-        print("\nPARALLEL SMOKE FAILURES:", file=sys.stderr)
-        for failure in failures:
-            print(f"  - {failure}", file=sys.stderr)
         return 1
     print("parallel smoke: all gates passed")
     return 0

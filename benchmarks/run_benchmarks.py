@@ -2,7 +2,7 @@
 """Machine-readable benchmark runner: sketch-kernel microbenches + trajectory.
 
 With ``--runtime`` it additionally benchmarks the message-passing runtime's
-executors (serial vs threads vs processes) on k-site ingest and query
+executors (serial vs threads) on k-site ingest and query
 wall-clock and appends the record to a second trajectory
 (``benchmarks/BENCH_runtime.json``) — the executors are bit-identical in
 output, so these numbers are pure wall-clock comparisons.
@@ -423,16 +423,14 @@ def bench_streaming_epoch(metrics: dict) -> None:
 
 
 def bench_runtime_executors(metrics: dict) -> None:
-    """Serial vs threads vs processes: k-site ingest, query and epoch clock.
+    """Serial vs threads: k-site ingest, query and epoch clock.
 
     *Ingest* is the one-round ``l0_sample`` protocol (every site pushes its
     whole shard through two sketches — the engine's ``update_many`` fan-out);
     *query* is the two-round ``lp_norm(p=2)`` protocol (matmul-heavy per-site
     round 2); *stream epoch* is a full ``StreamingSession`` epoch (ingest
-    every site + close), additionally run in **resident mode**
-    (``persistent=True``: pinned workers + shared-memory state, the
-    ``-persistent`` variants).  All executors produce bit-identical
-    transcripts (pinned in ``tests/engine/test_runtime.py`` and
+    every site + close).  Both executors produce bit-identical transcripts
+    (pinned in ``tests/engine/test_runtime.py`` and
     ``tests/engine/test_runtime_pool.py``), so the only thing that varies
     here is wall-clock.  Every record carries ``workers`` and
     ``rows_per_sec_per_worker`` so scaling efficiency is first-class;
@@ -455,7 +453,7 @@ def bench_runtime_executors(metrics: dict) -> None:
         "ingest_l0_sample": lambda cluster: cluster.l0_sample(0.3),
         "query_lp2": lambda cluster: cluster.lp_norm(2.0, 0.3),
     }
-    for executor in ("serial", "threads", "processes"):
+    for executor in ("serial", "threads"):
         runtime = Runtime(executor, max_workers=k)
         workers = 1 if executor == "serial" else k
         cluster = ClusterEstimator.from_matrix(a, b, k, seed=11, runtime=runtime)
@@ -474,24 +472,11 @@ def bench_runtime_executors(metrics: dict) -> None:
             }
         runtime.close()
 
-    # Streaming epoch: serial, plain pools, and the resident
-    # (persistent=True) mode the pools exist for.
-    variants = [
-        ("serial", "serial", False),
-        ("threads", "threads", False),
-        ("threads-persistent", "threads", True),
-        ("processes", "processes", False),
-        ("processes-persistent", "processes", True),
-    ]
     site_rows = rows // k
     row_starts = [k_i * site_rows for k_i in range(k)]
     batch = rng.integers(-2, 3, size=(site_rows, inner)).astype(np.int64)
-    for variant, executor, persistent in variants:
-        runtime = (
-            None
-            if executor == "serial"
-            else Runtime(executor, max_workers=k, persistent=persistent)
-        )
+    for executor in ("serial", "threads"):
+        runtime = None if executor == "serial" else Runtime(executor, max_workers=k)
         workers = 1 if executor == "serial" else k
         session = StreamingSession([site_rows] * k, b, seed=11, runtime=runtime)
 
@@ -500,9 +485,9 @@ def bench_runtime_executors(metrics: dict) -> None:
                 session.ingest(site, start + np.arange(site_rows), batch)
             session.end_epoch()
 
-        one_epoch()  # warm (resident workers spin up here)
+        one_epoch()  # warm (the thread pool starts here)
         seconds = timed(one_epoch, repeats)
-        metrics[f"runtime/stream_epoch/{variant}"] = {
+        metrics[f"runtime/stream_epoch/{executor}"] = {
             "config": {"rows": rows, "inner": inner, "sites": k},
             "seconds": seconds,
             "rows_per_sec": rows / seconds,
@@ -693,22 +678,13 @@ def compute_runtime_speedups(metrics: dict) -> dict:
     perfect linear scaling; ~1/workers on a single-core host).
     """
     speedups = {}
-    variants = (
-        "threads",
-        "processes",
-        "threads-persistent",
-        "processes-persistent",
-    )
     for leg in ("ingest_l0_sample", "query_lp2", "stream_epoch"):
         base = metrics.get(f"runtime/{leg}/serial")
-        for variant in variants:
-            record = metrics.get(f"runtime/{leg}/{variant}")
-            if base and record:
-                speedup = base["seconds"] / record["seconds"]
-                speedups[f"{leg}/{variant}"] = speedup
-                workers = record.get("workers")
-                if workers:
-                    speedups[f"{leg}/{variant}/efficiency"] = speedup / workers
+        record = metrics.get(f"runtime/{leg}/threads")
+        if base and record:
+            speedup = base["seconds"] / record["seconds"]
+            speedups[f"{leg}/threads"] = speedup
+            speedups[f"{leg}/threads/efficiency"] = speedup / record["workers"]
     return speedups
 
 
@@ -769,7 +745,11 @@ def check_acceptance(metrics: dict, speedups: dict) -> list[str]:
 
 
 def check_regression(metrics: dict, baseline_runs: list[dict], mode: str) -> list[str]:
-    """Same-mode, same-config throughput must stay within REGRESSION_FACTOR."""
+    """Same-mode, same-config throughput must stay within REGRESSION_FACTOR.
+
+    Only the metrics this run produced are compared, so a retired leg that
+    the committed history still records is simply not looked up.
+    """
     previous = None
     for run in reversed(baseline_runs):
         if run.get("mode") == mode:
@@ -820,7 +800,7 @@ def main() -> int:
     parser.add_argument(
         "--runtime",
         action="store_true",
-        help="also run the executor benches (serial/threads/processes), "
+        help="also run the executor benches (serial/threads), "
         "tracked in their own trajectory file",
     )
     parser.add_argument("--runtime-output", type=Path, default=DEFAULT_RUNTIME_OUTPUT)

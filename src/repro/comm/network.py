@@ -104,8 +104,8 @@ def merge_payload_group(payloads: Sequence[Any]) -> Any:
     """Merge one mergeable sibling group into a single summary.
 
     Module-level and picklable, so :meth:`repro.engine.runtime.Runtime
-    .map_async` can fan per-level merge groups across threads or worker
-    processes; the result is executor-invariant because the merges are
+    .map_async` can fan per-level merge groups across threads; the result
+    is executor-invariant because the merges are
     exact (integer states within 2^53).  Sketches merge into a fresh
     ``empty_copy`` — the children's payload objects are never mutated, the
     protocol endpoints may still hold references to them.

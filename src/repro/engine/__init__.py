@@ -28,7 +28,7 @@ Layout
     :class:`ClusterEstimator` facade.
 ``repro.engine.runtime``
     :class:`Runtime`, the message-passing execution layer: pluggable
-    per-site executors (``serial``/``threads``/``processes``) with a
+    per-site executors (``serial``/``threads``) with a
     serial-equivalence guarantee, plus the dropout policies applied when
     network conditions declare sites dropped.
 ``repro.engine.streaming``

@@ -190,8 +190,8 @@ class ClusterEstimator(EstimatorBase):
         are comparable.
     runtime:
         Optional :class:`repro.engine.runtime.Runtime` selecting the
-        per-site executor (``serial``/``threads``/``processes``) and the
-        dropout policy; forwarded to every query.
+        per-site executor (``serial``/``threads``) and the dropout and
+        quorum policies; forwarded to every query.
     conditions:
         Optional :class:`repro.comm.conditions.NetworkConditions` — per-link
         latency/bandwidth models (adds a simulated ``makespan`` to every

@@ -10,14 +10,6 @@ real encoded bytes instead of formula-estimated bits), and the coordinator
 keeps live estimates of ``C = A B`` — ``l_p`` norms, support size, heavy
 hitters, support samples — between syncs.
 
-Under a persistent concurrent runtime (``Runtime(persistent=True)``) the
-session runs in *resident mode*: per-site state lives in dedicated workers
-on shared-memory buffers, ingestion is applied asynchronously in those
-workers, and epoch boundaries merge the deltas zero-copy while the workers
-encode the wire payloads concurrently.  Every output — estimates, payload
-bytes, network meters, epoch reports — is bit-identical to the serial
-session; resident mode is purely a throughput mode.
-
 Refresh policies
 ----------------
 ``"every-epoch"``
@@ -82,7 +74,6 @@ from repro.sketch.countsketch import CountSketch
 from repro.sketch.kernels import exact_matmul
 from repro.sketch.l0_sampler import L0Sampler
 from repro.sketch.l0_sketch import L0Sketch
-from repro.sketch import shm as _shm
 from repro.sketch.mergeable import MergeableSketch
 from repro.sketch.serialization import deserialize_deltas, serialize_deltas
 
@@ -118,13 +109,6 @@ LATE_DELTA_LABEL = "stream/late-delta"
 
 #: Fixed order of the monitored sketch families inside a delta bundle.
 FAMILIES = ("ams", "l0", "sampler", "countsketch")
-
-#: Resident mode: maximum un-drained submissions per site worker.  Each
-#: completed task leaves a small queued reply in the worker→coordinator
-#: pipe; draining every so often keeps both pipe buffers bounded (an
-#: unbounded backlog could fill them and deadlock the pair).
-_MAX_INFLIGHT = 64
-
 
 
 @dataclass
@@ -162,15 +146,7 @@ class EpochReport:
 
 
 class _SiteStream:
-    """One site's streaming state: accumulated shard + pending sketch deltas.
-
-    In resident mode (``Runtime(persistent=True)`` with a concurrent
-    executor) the shard and pending sketch states live inside a dedicated
-    worker instead: ``shard`` becomes the coordinator's view of the
-    worker's shared-memory segment and ``pending`` is ``None`` — only the
-    shipping counters stay here, so the refresh policy never needs a
-    round-trip.
-    """
+    """One site's streaming state: accumulated shard + pending sketch deltas."""
 
     def __init__(
         self,
@@ -186,7 +162,7 @@ class _SiteStream:
         self.row_offset = row_offset
         self.num_rows = num_rows
         self.shard = np.zeros((num_rows, inner_dim), dtype=np.int64)
-        self.pending: dict[str, MergeableSketch] | None = {
+        self.pending: dict[str, MergeableSketch] = {
             key: sketch.empty_copy() for key, sketch in templates.items()
         }
         self.pending_updates = 0
@@ -216,14 +192,11 @@ class _SiteStream:
 
         The serialization half is :func:`repro.sketch.serialization
         .serialize_deltas` (fanned out by ``end_epoch``); splitting the two
-        halves is what lets the encoding run in a worker process while the
-        reset stays in the parent.  In resident mode only the counters live
-        here — the sketch reset is a :func:`_w_reset` submitted to the
-        site's worker.
+        halves is what lets the encoding run on a worker thread while the
+        coordinator merges the same pending states.
         """
-        if self.pending is not None:
-            for sketch in self.pending.values():
-                sketch.load_state_array(None)
+        for sketch in self.pending.values():
+            sketch.load_state_array(None)
         self.shipped_mass += self.pending_mass
         self.pending_mass = 0.0
         self.pending_updates = 0
@@ -232,93 +205,10 @@ class _SiteStream:
         """Discard queued (un-shipped) deltas without crediting them as
         shipped — the session-close path, where a dropped site's backlog
         must not survive into the closed session's counters."""
-        if self.pending is not None:
-            for sketch in self.pending.values():
-                sketch.load_state_array(None)
+        for sketch in self.pending.values():
+            sketch.load_state_array(None)
         self.pending_mass = 0.0
         self.pending_updates = 0
-
-
-# --------------------------------------------------------------- resident mode
-#
-# With a persistent concurrent runtime each site's streaming state is *pinned*
-# inside a dedicated resident worker: the accumulated shard and all four
-# pending sketch states are shared-memory arrays the worker scatters updates
-# into (``pin_state_buffer`` / ``pin_table_buffer``), so per-epoch IPC shrinks
-# to update batches in and payload bytes + counters out.  At an epoch boundary
-# the coordinator merges each shipping site's deltas straight out of its own
-# view of those segments — zero copies, no serialization on the merge path —
-# while the workers concurrently encode the identical state for the wire
-# (both sides only read until the post-merge reset is submitted; per-slot
-# FIFO ordering makes the reset safe).  The functions below are the worker
-# halves; they must stay module-level picklables for the process pool.
-
-
-def _resident_site_init(
-    buffers: dict[str, Any],
-    templates: dict[str, MergeableSketch],
-    row_offset: int,
-    untrack: bool,
-) -> dict[str, Any]:
-    """Build one site's worker-resident state around the shared buffers.
-
-    ``buffers`` maps ``"shard"`` and each sketch family to either a
-    :class:`repro.sketch.shm.ShmBlock` (process workers attach it) or a
-    ready numpy view (thread workers share the coordinator's address
-    space, so no attach round-trip is needed).
-    """
-    views: dict[str, np.ndarray] = {}
-    segments = []
-    for key, ref in buffers.items():
-        if isinstance(ref, _shm.ShmBlock):
-            view, segment = _shm.attach(ref, untrack=untrack)
-            segments.append(segment)
-        else:
-            view = ref
-        views[key] = view
-    pending: dict[str, MergeableSketch] = {}
-    for key, template in templates.items():
-        sketch = template.empty_copy()
-        if key == "countsketch":
-            sketch.pin_table_buffer(views[key])
-        else:
-            sketch.pin_state_buffer(views[key])
-        pending[key] = sketch
-    return {
-        "shard": views["shard"],
-        "row_offset": row_offset,
-        "pending": pending,
-        "segments": segments,  # keep the mappings alive for the worker's life
-    }
-
-
-def _w_ingest(state: dict[str, Any], rows: np.ndarray, deltas: np.ndarray) -> None:
-    """Apply one validated update batch to the worker-resident site state."""
-    np.add.at(state["shard"], rows - state["row_offset"], deltas)
-    for sketch in state["pending"].values():
-        sketch.update_many(rows, deltas)
-
-
-def _w_serialize(state: dict[str, Any]) -> bytes:
-    """Encode the pending deltas for the wire (reads the pinned state only)."""
-    return serialize_deltas(state["pending"])
-
-
-def _w_reset(state: dict[str, Any]) -> None:
-    """Reset the pending sketches after the coordinator merged their state."""
-    for sketch in state["pending"].values():
-        sketch.load_state_array(None)
-
-
-@dataclass
-class _ResidentSites:
-    """Coordinator-side handle to the resident site workers."""
-
-    pool: Any  # repro.engine.runtime.ResidentPool
-    arena: _shm.ShmArena
-    #: Per site: the coordinator's views of that site's shm buffers
-    #: (``"shard"`` + one per sketch family).
-    views: list[dict[str, np.ndarray]]
 
 
 class StreamingSession(EstimatorBase):
@@ -364,14 +254,8 @@ class StreamingSession(EstimatorBase):
         Optional :class:`repro.engine.runtime.Runtime`.  Delta
         serialization at epoch close fans out through it, and one-shot
         queries execute under it (executor choice + dropout policy for
-        queries issued while sites are dropped).  A *persistent* runtime
-        with a concurrent executor switches the session into resident
-        mode: each site's shard and pending sketch states are pinned in a
-        dedicated worker, backed by shared memory the coordinator merges
-        from zero-copy (see the ``_resident_site_init`` block above).
-        Outputs, meters and transcripts are identical in every mode; call
-        :meth:`close` (or use the session as a context manager) to release
-        the workers and segments deterministically.
+        queries issued while sites are dropped).  Outputs, meters and
+        transcripts are identical under every executor.
     conditions:
         Optional :class:`repro.comm.conditions.NetworkConditions` — the
         session's network then prices shipped deltas into a simulated
@@ -576,139 +460,30 @@ class StreamingSession(EstimatorBase):
         self._b_is_binary = is_binary_data(b)
         self._shards_binary_cache: bool | None = None
         self._closed = False
-        self._resident: _ResidentSites | None = None
-        if (
-            self.runtime is not None
-            and self.runtime.persistent
-            and self.runtime.executor in ("threads", "processes")
-        ):
-            if self._faults is not None:
-                # Resident workers serialize their own (honest) state; the
-                # corruption injector intercepts the classic ship path only.
-                raise ValueError(
-                    "fault injection (NetworkConditions.faults) is not "
-                    "supported in resident mode; use a non-persistent runtime"
-                )
-            self._resident = self._build_resident(self.runtime)
-
-    def _build_resident(self, runtime: Runtime) -> _ResidentSites:
-        """Move every site's streaming state into a resident worker.
-
-        Each site gets shared-memory segments for its shard and the four
-        pending sketch states; the sketch layouts are probed with one
-        zero-valued update of an ``empty_copy`` (exactly the shape and
-        dtype real ingestion produces, and no randomness is consumed).
-        The coordinator keeps its own views for zero-copy merges; process
-        workers receive picklable block descriptors, thread workers the
-        views themselves.
-        """
-        m = self.b.shape[0]
-        layouts: dict[str, tuple[tuple[int, ...], np.dtype]] = {}
-        for key, template in self.templates.items():
-            probe = template.empty_copy()
-            probe.update_many(
-                np.zeros(1, dtype=np.int64), np.zeros((1, m), dtype=np.int64)
-            )
-            state = probe.state_array()
-            layouts[key] = (state.shape, state.dtype)
-        arena = _shm.ShmArena()
-        as_blocks = runtime.executor == "processes"
-        untrack = runtime._uses_spawn
-        views: list[dict[str, np.ndarray]] = []
-        init_tasks: list[tuple] = []
-        for site in self.sites:
-            specs: dict[str, tuple[tuple[int, ...], Any]] = {
-                "shard": ((site.num_rows, m), np.dtype(np.int64)),
-                **layouts,
-            }
-            site_views: dict[str, np.ndarray] = {}
-            refs: dict[str, Any] = {}
-            for key, (shape, dtype) in specs.items():
-                view, block = arena.allocate(shape, dtype)
-                site_views[key] = view
-                refs[key] = block if as_blocks else view
-            views.append(site_views)
-            init_tasks.append((refs, self.templates, site.row_offset, untrack))
-            site.shard = site_views["shard"]
-            site.pending = None
-        try:
-            pool = runtime.resident_pool(_resident_site_init, init_tasks)
-        except BaseException:
-            arena.close()
-            raise
-        # The runtime co-owns the arena until the session closes: an
-        # abandoned session's segments are then released by Runtime.close()
-        # (or its atexit hook) instead of dangling in /dev/shm.
-        runtime.adopt_arena(arena)
-        return _ResidentSites(pool=pool, arena=arena, views=views)
-
-    def _drain_resident(self) -> None:
-        """Barrier: wait until every outstanding worker submission applied."""
-        if self._resident is None:
-            return
-        for slot in range(len(self.sites)):
-            self._resident.pool.drain(slot)
 
     def close(self) -> None:
         """Close the session, keeping the accumulated data queryable.
 
         This is the open→closed transition of the session state machine
-        (see :class:`SessionClosedError`), identical in every execution
-        mode: afterwards the session still answers one-shot and live
-        queries over what it accumulated, while :meth:`ingest`,
-        :meth:`end_epoch`/:meth:`sync` and :meth:`drop_site`/
-        :meth:`restore_site` raise.  Idempotent.
+        (see :class:`SessionClosedError`): afterwards the session still
+        answers one-shot and live queries over what it accumulated, while
+        :meth:`ingest`, :meth:`end_epoch`/:meth:`sync` and
+        :meth:`drop_site`/:meth:`restore_site` raise.  Idempotent, and
+        independent of the runtime: closing the runtime first or second
+        changes nothing.
 
         Pending (un-shipped) deltas — including a dropped site's queued
         backlog and any straggler uploads still in flight (see
         :meth:`collect_late`) — are *discarded*, never merged: a closed
         session's live summaries reflect exactly what arrived before the
-        close.  In
-        resident mode the outstanding ingests are drained first (so the
-        accumulated shards are complete), the shards are materialized back
-        into coordinator memory, the site workers shut down, and the
-        shared-memory segments are unlinked and detached from the owning
-        runtime — close in either order (session first or runtime first)
-        releases everything exactly once.
+        close.
         """
         if self._closed:
             return
         self._closed = True
         self._late_queue.clear()
-        resident = self._resident
-        if resident is None:
-            for site in self.sites:
-                site.clear_pending()
-            return
-        self._resident = None
-        try:
-            if not resident.pool.closed:
-                for slot in range(len(self.sites)):
-                    resident.pool.drain(slot)
-        finally:
-            arena_live = not resident.arena.closed
-            for site, site_views in zip(self.sites, resident.views):
-                if arena_live:
-                    site.shard = np.array(site_views["shard"])
-                else:
-                    # The runtime closed first: the segments are unlinked
-                    # and the views unmapped, so dereferencing them would
-                    # be a use-after-free.  The accumulated shards died
-                    # with the runtime's shared memory — a late close must
-                    # release cleanly, not crash.
-                    site.shard = np.zeros(
-                        site_views["shard"].shape, site_views["shard"].dtype
-                    )
-                site.clear_pending()
-            if self.runtime is not None:
-                # Detach from the runtime's tracking lists so a long-lived
-                # shared runtime doesn't accumulate dead pools/arenas across
-                # thousands of session lifecycles.
-                self.runtime.discard_resident_pool(resident.pool)
-                self.runtime.release_arena(resident.arena)
-            else:  # pragma: no cover - resident mode implies a runtime
-                resident.pool.close()
-            resident.arena.close()
+        for site in self.sites:
+            site.clear_pending()
 
     def __enter__(self) -> "StreamingSession":
         return self
@@ -744,20 +519,13 @@ class StreamingSession(EstimatorBase):
         if not self._b_is_binary:
             return False
         if self._shards_binary_cache is None:
-            self._drain_resident()
             self._shards_binary_cache = is_binary_data(
                 *(site.shard for site in self.sites)
             )
         return self._shards_binary_cache
 
     def shards(self) -> list[np.ndarray]:
-        """The accumulated per-site shards of ``A`` (global row order).
-
-        In resident mode these are live shared-memory views of the worker
-        state; the call drains outstanding ingests first so readers always
-        see every update applied.
-        """
-        self._drain_resident()
+        """The accumulated per-site shards of ``A`` (global row order)."""
         return [site.shard for site in self.sites]
 
     # ---------------------------------------------------------------- faults
@@ -845,21 +613,7 @@ class StreamingSession(EstimatorBase):
                 f"rows must lie in {target.name}'s range [{low}, {high})"
             )
         if rows.size:
-            if self._resident is not None:
-                # The sketch/shard work happens in the site's resident
-                # worker, asynchronously (the next drain point is the
-                # barrier); the shipping counters stay here so the refresh
-                # policy never needs a worker round-trip.  ``rows`` is
-                # copied because a thread worker reads it in place and the
-                # caller may reuse its buffer (``deltas`` is already a
-                # fresh ``astype`` copy).
-                if self._resident.pool.pending(site) >= _MAX_INFLIGHT:
-                    self._resident.pool.drain(site)
-                self._resident.pool.submit(site, _w_ingest, rows.copy(), deltas)
-                target.pending_updates += rows.shape[0]
-                target.pending_mass += float(np.abs(deltas).sum())
-            else:
-                target.ingest(rows, deltas)
+            target.ingest(rows, deltas)
             self._shards_binary_cache = None
 
     # ---------------------------------------------------------------- epochs
@@ -875,13 +629,11 @@ class StreamingSession(EstimatorBase):
         back.
 
         Delta serialization runs *off the critical path*: it is dispatched
-        asynchronously through the session's runtime (or to the resident
-        site workers) and joined only after the coordinator has merged
-        every shipping delta — straight from the pending sketch states, or
-        in resident mode from shared-memory views of the worker state,
-        with no decode step in either case.  Merges and sends stay serial
-        in site order, so the shipped bytes and the merged summaries are
-        executor-invariant, byte for byte.
+        asynchronously through the session's runtime and joined only after
+        the coordinator has merged every shipping delta straight from the
+        pending sketch states, with no decode step.  Merges and sends stay
+        serial in site order, so the shipped bytes and the merged summaries
+        are executor-invariant, byte for byte.
         """
         self._check_open("close an epoch")
         # Decide (and possibly fail) before any state mutates, so a raised
@@ -931,24 +683,7 @@ class StreamingSession(EstimatorBase):
             report.quorum_met = on_time >= self.quorum.required(len(self.sites))
 
         payload_of: dict[str, bytes] = {}
-        if shipping and self._resident is not None:
-            # Resident flow: drain the in-flight ingests, then let every
-            # shipping worker encode its payload while the coordinator
-            # merges the identical state zero-copy out of the shm views
-            # (both sides only read).  The per-slot FIFO guarantees the
-            # reset runs strictly after the serialization.
-            pool = self._resident.pool
-            self._drain_resident()
-            for site in shipping:
-                pool.submit(site.index, _w_serialize)
-            for site in shipping:
-                if site.name not in late_now:
-                    self._merge_site_views(site.index)
-            for site in shipping:
-                payload_of[site.name] = pool.result(site.index)
-            for site in shipping:
-                pool.submit(site.index, _w_reset)
-        elif shipping:
+        if shipping:
             runtime = self.runtime if self.runtime is not None else SERIAL_RUNTIME
             # A FaultPlan corrupts the named sites' *uploads* — the state
             # that is serialized and the state that is merged, consistently
@@ -1060,24 +795,6 @@ class StreamingSession(EstimatorBase):
                 agg, payload, label=DELTA_LABEL, bits=wire.payload_bits(payload)
             )
             bundles[agg] = merged
-
-    def _merge_site_views(self, site_index: int) -> None:
-        """Merge one shipping site's deltas straight from its shm views.
-
-        Wraps each family's view in a stateless ``empty_copy`` (shares the
-        template randomness, so the merge's identity fast path applies) and
-        merges it — the views are only *read*: a first merge copies them
-        into the coordinator state, later merges accumulate with ``+=``.
-        Bit-identical to decoding the site's wire payload, because the
-        codec round-trips state arrays exactly.
-        """
-        site_views = self._resident.views[site_index]
-        for key in FAMILIES:
-            delta = self.templates[key].empty_copy()
-            delta.load_state_array(site_views[key])
-            self.merged[key].merge(delta)
-            if self.site_merged is not None:
-                self.site_merged[site_index][key].merge(delta)
 
     def _merge_delta(
         self, site_index: int, delta: dict[str, MergeableSketch]

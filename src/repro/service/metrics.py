@@ -16,7 +16,7 @@ Only the two metric kinds the service needs are implemented:
     quota rejections.  ``inc`` rejects negative increments.
 :class:`Gauge`
     Point-in-time values — open tenants, epoch lag, pending updates,
-    resident-pool occupancy, simulated makespan.
+    simulated makespan.
 
 Every metric lives in a :class:`MetricsRegistry` and may declare *label*
 dimensions (``tenant``, ``site``, ...); one metric object holds one time

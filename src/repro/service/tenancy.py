@@ -3,9 +3,8 @@
 ROADMAP item 2: millions of users means many concurrent
 :class:`~repro.engine.streaming.StreamingSession`\\ s.  The
 :class:`SessionManager` multiplexes N independent tenants over **one**
-shared :class:`~repro.engine.runtime.Runtime` — the expensive resource
-(warmed executor pools, resident workers) is shared, while everything
-observable is strictly isolated per tenant:
+shared :class:`~repro.engine.runtime.Runtime` — its thread pool is
+shared, while everything observable is strictly isolated per tenant:
 
 * **randomness** — each tenant's session gets its own seed (explicit, or
   derived order-independently from the manager seed and the tenant name),
@@ -14,10 +13,7 @@ observable is strictly isolated per tenant:
 * **meters** — each session owns its network meters; the manager's
   :class:`~repro.comm.accounting.TenantLedger` rolls per-tenant usage and
   the service aggregate up from one charge point, so per-tenant rows sum
-  *exactly* to the aggregate (no double-count, no bleed);
-* **shm arenas / resident pools** — per session, attached to and detached
-  from the shared runtime across each tenant lifecycle (PR 7's pools; the
-  lifecycle fixes in ``engine/runtime.py`` keep the tracking lists flat).
+  *exactly* to the aggregate (no double-count, no bleed).
 
 Scheduling is a fair round-robin: :meth:`SessionManager.run_epoch` sweeps
 every open tenant starting from a rotating offset, so no tenant's epoch
@@ -223,9 +219,9 @@ class SessionManager:
         ``C_t = A_t B`` (tenants own independent update streams ``A_t``).
     runtime:
         The shared :class:`~repro.engine.runtime.Runtime`.  ``None`` means
-        serial in-process execution; a ``persistent=True`` concurrent
-        runtime puts every tenant's session in resident mode on the shared
-        pools.
+        serial in-process execution; a ``"threads"`` runtime fans every
+        tenant's delta encoding and one-shot queries out over one shared
+        thread pool.
     seed:
         Manager base seed; tenant sessions derive per-tenant seeds from it
         (see :func:`derive_tenant_seed`) unless ``open_tenant`` passes an
@@ -308,10 +304,6 @@ class SessionManager:
             "repro_makespan_seconds",
             "Simulated transcript makespan under the tenant's network conditions",
             ("tenant",),
-        )
-        self._m_pool = reg.gauge(
-            "repro_resident_pool_occupancy",
-            "Live resident worker pools on the shared runtime",
         )
         self._m_queries = reg.counter(
             "repro_queries_total", "One-shot queries answered", ("tenant",)
@@ -617,8 +609,6 @@ class SessionManager:
 
     # -------------------------------------------------------------- lifecycle
     def _update_shared_gauges(self) -> None:
-        if self.runtime is not None:
-            self._m_pool.set(self.runtime.resident_pool_count)
         leader = max((t.epoch for t in self._tenants.values() if not t.closed),
                      default=0)
         for name, tenant in self._tenants.items():

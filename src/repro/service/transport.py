@@ -37,8 +37,9 @@ without touching a line of protocol code:
     A :class:`~repro.engine.runtime.Runtime` whose :meth:`map` fans the
     engine's picklable per-site tasks out to the site processes (round
     robin, pipelined) instead of a local pool.  Results return in task
-    order and generators round-trip exactly as under the ``processes``
-    executor, so outputs stay bit-identical.
+    order and the site generators round-trip through
+    :meth:`~repro.engine.runtime.Runtime.map_sites`, so outputs stay
+    bit-identical.
 
 :class:`SocketTransport`
     The :class:`~repro.comm.transport.Transport` gluing both to a set of
@@ -501,9 +502,9 @@ class RemoteRuntime(Runtime):
     """Fans the engine's per-site tasks out to the site processes.
 
     The sends/merges of every protocol stay serial on the coordinator (the
-    runtime contract), so the only difference from the ``processes``
-    executor is *where* the fan-out tasks run: task arguments pickle out to
-    a site agent over TCP and results pickle back, in task order, with the
+    runtime contract), so the only difference from the in-process
+    executors is *where* the fan-out tasks run: task arguments pickle out
+    to a site agent over TCP and results pickle back, in task order, with the
     generator round-tripping of :meth:`~repro.engine.runtime.Runtime
     .map_sites` working unchanged.  Outputs are therefore bit-identical to
     every other executor (the pinned PR 5 contract).

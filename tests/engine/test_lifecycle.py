@@ -1,12 +1,10 @@
-"""Runtime/session lifecycle: atexit pairing, shm hygiene, the close state machine.
+"""Runtime/session lifecycle: atexit pairing and the close state machine.
 
-The ISSUE 8 satellite bugfixes, pinned as regression tests:
+Pinned as regression tests:
 
 * ``Runtime`` registers its interpreter-shutdown hook exactly once per
-  open period — warm→close cycles must not stack duplicate ``atexit``
+  open period — pool→close cycles must not stack duplicate ``atexit``
   entries (each would pin the runtime for the life of the process);
-* a warm→ingest→close loop leaves ``/dev/shm`` exactly as it found it —
-  no dangling segment from any cycle (the leak check the issue asks for);
 * a closed :class:`StreamingSession` is a real state machine: every
   mutation raises :class:`SessionClosedError` while the accumulated data
   stays queryable, ``close`` is idempotent, and queued deltas — including
@@ -18,7 +16,6 @@ The ISSUE 8 satellite bugfixes, pinned as regression tests:
 from __future__ import annotations
 
 import atexit
-import os
 
 import numpy as np
 import pytest
@@ -66,13 +63,13 @@ class _AtexitSpy:
 
 
 class TestAtexitPairing:
-    def test_ten_warm_close_cycles_keep_exactly_one_live_hook(
+    def test_ten_pool_close_cycles_keep_exactly_one_live_hook(
         self, b, monkeypatch
     ):
         spy = _AtexitSpy(monkeypatch)
         runtime = Runtime("threads", max_workers=2)
         for _ in range(10):
-            runtime.warm()
+            runtime.map(abs, [(-1,), (-2,)])  # creates the pool
             assert spy.live_hooks_for(runtime.close) == 1
             with StreamingSession([6, 6], b, seed=3, runtime=runtime) as session:
                 _ingest_some(session)
@@ -82,42 +79,15 @@ class TestAtexitPairing:
         runtime.close()
         assert spy.live_hooks_for(runtime.close) == 0
 
-    def test_persistent_runtime_registers_once(self, b, monkeypatch):
+    def test_shared_runtime_registers_once(self, b, monkeypatch):
         spy = _AtexitSpy(monkeypatch)
-        with Runtime("threads", max_workers=2, persistent=True) as runtime:
+        with Runtime("threads", max_workers=2) as runtime:
             for _ in range(3):
                 with StreamingSession([6, 6], b, seed=3, runtime=runtime) as session:
                     _ingest_some(session)
                     session.sync()
                 assert spy.live_hooks_for(runtime.close) == 1
         assert spy.live_hooks_for(runtime.close) == 0
-
-
-@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
-class TestShmHygiene:
-    def test_warm_ingest_close_loop_leaks_no_segments(self, b):
-        before = set(os.listdir("/dev/shm"))
-        for cycle in range(10):
-            runtime = Runtime("threads", max_workers=2, persistent=True)
-            session = StreamingSession([6, 6], b, seed=cycle, runtime=runtime)
-            _ingest_some(session, seed=cycle)
-            session.sync()
-            session.close()
-            runtime.close()
-        leaked = set(os.listdir("/dev/shm")) - before
-        assert not leaked, f"dangling /dev/shm segments: {sorted(leaked)}"
-
-    def test_abandoned_session_segments_die_with_the_runtime(self, b):
-        """A session never closed must not dangle past Runtime.close()."""
-        before = set(os.listdir("/dev/shm"))
-        runtime = Runtime("threads", max_workers=2, persistent=True)
-        session = StreamingSession([6, 6], b, seed=1, runtime=runtime)
-        _ingest_some(session)
-        session.sync()
-        runtime.close()  # session deliberately not closed first
-        leaked = set(os.listdir("/dev/shm")) - before
-        assert not leaked, f"dangling /dev/shm segments: {sorted(leaked)}"
-        session.close()  # and the late close is still safe
 
 
 class TestCloseStateMachine:
@@ -156,12 +126,12 @@ class TestCloseStateMachine:
         _ingest_some(session)
         session.close()
         session.close()
-        with Runtime("threads", max_workers=2, persistent=True) as runtime:
-            resident = StreamingSession([6, 6], b, seed=3, runtime=runtime)
-            _ingest_some(resident)
-            resident.sync()
-            resident.close()
-            resident.close()
+        with Runtime("threads", max_workers=2) as runtime:
+            threaded = StreamingSession([6, 6], b, seed=3, runtime=runtime)
+            _ingest_some(threaded)
+            threaded.sync()
+            threaded.close()
+            threaded.close()
 
     def test_pending_deltas_do_not_survive_close(self, b):
         session = StreamingSession([6, 6], b, seed=3, refresh="threshold",
@@ -195,41 +165,24 @@ class TestCloseStateMachine:
 
 class TestCloseOrdering:
     def test_runtime_close_then_session_close(self, b):
-        runtime = Runtime("threads", max_workers=2, persistent=True)
+        runtime = Runtime("threads", max_workers=2)
         session = StreamingSession([6, 6], b, seed=3, runtime=runtime)
         _ingest_some(session)
         session.sync()
         runtime.close()
-        session.close()  # must not raise on the dead pool/arena
+        session.close()  # must not raise on the closed runtime
         assert session.closed
 
-    def test_session_close_detaches_from_the_runtime(self, b):
-        with Runtime("threads", max_workers=2, persistent=True) as runtime:
-            sessions = [
-                StreamingSession([6, 6], b, seed=i, runtime=runtime)
-                for i in range(3)
-            ]
-            assert runtime.resident_pool_count == 3
-            assert len(runtime._adopted_arenas) == 3
-            for session in sessions:
+    def test_session_close_then_runtime_close(self, b):
+        with Runtime("threads", max_workers=2) as runtime:
+            for seed in range(3):
+                session = StreamingSession([6, 6], b, seed=seed, runtime=runtime)
                 _ingest_some(session)
                 session.sync()
                 session.close()
-            # No pool or arena left behind in the shared runtime's tracking.
-            assert runtime.resident_pool_count == 0
-            assert runtime._resident_pools == []
-            assert runtime._adopted_arenas == []
-
-    def test_closed_pool_result_raises_not_indexerror(self, b):
-        runtime = Runtime("processes", max_workers=2, persistent=True)
-        try:
+                assert session.closed
+            # The shared runtime still serves a new session afterwards.
             session = StreamingSession([6, 6], b, seed=3, runtime=runtime)
             _ingest_some(session)
-            session.sync()
-            pool = session._resident.pool
-            runtime.close()
-            with pytest.raises(RuntimeError, match="closed"):
-                pool.result(0)
-            session.close()
-        finally:
-            runtime.close()
+            assert session.sync().total_bytes > 0
+        assert runtime._pool is None

@@ -4,16 +4,16 @@ The serial-equivalence guarantee (``engine/runtime.py``) has two halves:
 
 * the **serial** executor is pinned to the historical transcripts by the
   existing equivalence/determinism suites, which run without a runtime;
-* the **threads** and **processes** executors must reproduce the serial
-  run bit for bit — identical protocol outputs *and* identical byte/round
-  meters (total, per-label, per-round, per-link, per-site) — for every
-  protocol family, at k in {1, 2, 4}.  That is what this module pins.
+* the **threads** executor must reproduce the serial run bit for bit —
+  identical protocol outputs *and* identical byte/round meters (total,
+  per-label, per-round, per-link, per-site) — for every protocol family,
+  at k in {1, 2, 4}.  That is what this module pins.
 
 The family list includes a ``p != 1`` heavy-hitters run: that protocol
 consumes each site's private generator in *two* separated fan-out phases
 (the lp-norm subroutine, then entry sampling).  In process the task
-advances the site's own generator, so the executors above cannot tell
-whether ``Runtime.map_sites`` restores the returned one.
+advances the site's own generator, so neither executor can tell whether
+``Runtime.map_sites`` restores the returned one.
 ``test_map_sites_restores_generators_that_crossed_a_pickle`` pins that
 restore with a runtime that pickles every task and result, as
 ``repro.service.transport.RemoteRuntime`` does over TCP.
@@ -84,10 +84,10 @@ def integer_pair():
     return a, b
 
 
-@pytest.fixture(scope="module", params=["threads", "processes"])
-def concurrent_runtime(request):
-    """One shared pool per executor for the whole module (fork cost paid once)."""
-    runtime = Runtime(request.param, max_workers=4)
+@pytest.fixture(scope="module")
+def concurrent_runtime():
+    """One shared thread pool for the whole module."""
+    runtime = Runtime("threads", max_workers=4)
     yield runtime
     runtime.close()
 

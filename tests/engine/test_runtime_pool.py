@@ -1,19 +1,17 @@
-"""Runtime pool lifecycle: sizing, warm-up, resident workers, shm hygiene.
+"""Runtime pool lifecycle: sizing, lazy creation, reuse, threaded sessions.
 
 The invariance suite (``test_runtime.py``) pins *what* the executors
-compute; this module pins how the pools behave as resources:
+compute; this module pins how the thread pool behaves as a resource and
+how a streaming session runs on it:
 
 * worker-count resolution (CPU affinity by default, ``REPRO_WORKERS``
   overrides),
-* pool warm-up — eager under ``persistent=True``, and the sub-concurrent
-  ``map`` fallback still creates the pool on its way through,
+* the pool is created lazily, and the sub-concurrent ``map`` fallback
+  still creates it on its way through,
 * context-manager reuse across runs and ``close()`` idempotency,
 * ``map_async`` dispatch/join semantics,
-* resident pools: state pinned per slot, FIFO results, crash surfacing
-  (``WorkerCrashedError``), idempotent shutdown,
-* shared-memory hygiene: every segment a runtime or a resident streaming
-  session allocates is unlinked on close — including after a worker crash
-  — proven by ``attach`` raising ``FileNotFoundError``.
+* a streaming session on a threads runtime: bit-identical to serial,
+  queryable after close, and a dropped site's backlog ships on restore.
 """
 
 from __future__ import annotations
@@ -23,41 +21,12 @@ import os
 import numpy as np
 import pytest
 
-from repro.engine.runtime import (
-    Runtime,
-    WorkerCrashedError,
-    _default_workers,
-)
+from repro.engine.runtime import Runtime, _default_workers
 from repro.engine.streaming import StreamingSession
-from repro.sketch import shm as shm_mod
 
-
-# --------------------------------------------------------------- module-level
-# Functions submitted to process pools must be importable.
 
 def _double(x):
     return 2 * x
-
-
-def _array_sum(arr):
-    return float(arr.sum())
-
-
-def _init_counter(start):
-    return {"count": start}
-
-
-def _bump(state, by):
-    state["count"] += by
-    return state["count"]
-
-
-def _read(state):
-    return state["count"]
-
-
-def _crash(state):
-    os._exit(13)
 
 
 class TestWorkerSizing:
@@ -77,10 +46,6 @@ class TestWorkerSizing:
 
 
 class TestPoolLifecycle:
-    def test_persistent_runtime_warms_eagerly(self):
-        with Runtime("threads", max_workers=2, persistent=True) as runtime:
-            assert runtime._pool is not None  # created at construction
-
     def test_sub_concurrent_map_still_creates_the_pool(self):
         with Runtime("threads", max_workers=2) as runtime:
             assert runtime._pool is None  # lazy until first map
@@ -105,7 +70,7 @@ class TestPoolLifecycle:
         assert runtime.map(_double, [(5,), (6,)]) == [10, 12]
         runtime.close()
 
-    @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("executor", ["serial", "threads"])
     def test_map_async_matches_map(self, executor):
         with Runtime(executor, max_workers=2) as runtime:
             tasks = [(i,) for i in range(5)]
@@ -113,94 +78,7 @@ class TestPoolLifecycle:
             assert join() == runtime.map(_double, tasks)
 
 
-class TestSharedMemoryHygiene:
-    def test_large_map_arguments_travel_via_shm_and_are_released(self):
-        arr = np.arange(32_768, dtype=np.int64)  # 256 KiB >= threshold
-        runtime = Runtime("processes", max_workers=2)
-        try:
-            results = runtime.map(_array_sum, [(arr,), (arr,)])
-            assert results == [float(arr.sum())] * 2
-            assert runtime._shm_arena is not None
-            blocks = [entry[0] for entry in runtime._shm_cache.values()]
-            assert blocks
-        finally:
-            runtime.close()
-        for block in blocks:
-            with pytest.raises(FileNotFoundError):
-                shm_mod.attach(block)
-
-    def test_resident_session_releases_segments_on_close(self):
-        with Runtime("processes", max_workers=2, persistent=True) as runtime:
-            session = StreamingSession([8, 8], np.eye(3, dtype=np.int64),
-                                       seed=1, runtime=runtime)
-            arena = session._resident.arena
-            assert arena.names  # shard + sketch buffers exist
-            blocks = [
-                shm_mod.ShmBlock(name, (1,), "<i8") for name in arena.names
-            ]
-            session.ingest(0, [0, 1], np.ones((2, 3), dtype=np.int64))
-            session.close()
-            for block in blocks:
-                with pytest.raises(FileNotFoundError):
-                    shm_mod.attach(block)
-
-    def test_segments_survive_a_worker_crash_until_owner_closes(self):
-        # A dying worker must not take the owner's segments with it (the
-        # attach-side registration is untracked/deduped); only the owning
-        # arena unlinks, in close().
-        with shm_mod.ShmArena() as arena:
-            view, block = arena.allocate((4,), np.float64)
-            runtime = Runtime("processes", max_workers=1)
-            pool = runtime.resident_pool(_init_counter, [(0,)])
-            pool.submit(0, _crash)
-            with pytest.raises(WorkerCrashedError):
-                pool.drain(0)
-            runtime.close()
-            mapped, seg = shm_mod.attach(block)  # still alive
-            del mapped
-            seg.close()
-        with pytest.raises(FileNotFoundError):
-            shm_mod.attach(block)
-
-
-class TestResidentPools:
-    @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
-    def test_state_persists_across_calls_per_slot(self, executor):
-        with Runtime(executor, max_workers=2) as runtime:
-            pool = runtime.resident_pool(_init_counter, [(10,), (100,)])
-            assert pool.call(0, _bump, 1) == 11
-            assert pool.call(1, _bump, 5) == 105
-            assert pool.call(0, _bump, 1) == 12  # slot 0 kept its state
-            assert pool.call(1, _read) == 105
-
-    @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
-    def test_submit_results_come_back_fifo(self, executor):
-        with Runtime(executor, max_workers=2) as runtime:
-            pool = runtime.resident_pool(_init_counter, [(0,)])
-            for by in (1, 2, 3):
-                pool.submit(0, _bump, by)
-            assert pool.pending(0) == 3
-            assert [pool.result(0) for _ in range(3)] == [1, 3, 6]
-            assert pool.pending(0) == 0
-
-    def test_crashed_worker_raises_with_exit_code(self):
-        with Runtime("processes", max_workers=1) as runtime:
-            pool = runtime.resident_pool(_init_counter, [(0,)])
-            pool.submit(0, _crash)
-            with pytest.raises(WorkerCrashedError, match="13"):
-                pool.drain(0)
-
-    @pytest.mark.parametrize("executor", ["threads", "processes"])
-    def test_pool_close_is_idempotent_and_runtime_close_covers_it(self, executor):
-        runtime = Runtime(executor, max_workers=1)
-        pool = runtime.resident_pool(_init_counter, [(0,)])
-        assert pool.call(0, _read) == 0
-        pool.close()
-        pool.close()
-        runtime.close()  # already-closed pool is fine
-
-
-class TestResidentStreamingSession:
+class TestThreadedStreamingSession:
     def run_session(self, runtime):
         rng = np.random.default_rng(99)
         b = rng.integers(0, 3, size=(4, 3))
@@ -228,12 +106,10 @@ class TestResidentStreamingSession:
             [shard.copy() for shard in session.shards()],
         )
 
-    @pytest.mark.parametrize("executor", ["threads", "processes"])
-    def test_resident_sessions_are_bit_identical_to_serial(self, executor):
+    def test_threads_session_is_bit_identical_to_serial(self):
         reference = self.collect(self.run_session(None))
-        with Runtime(executor, max_workers=2, persistent=True) as runtime:
+        with Runtime("threads", max_workers=2) as runtime:
             session = self.run_session(runtime)
-            assert session._resident is not None  # really ran resident
             got = self.collect(session)
             session.close()
         assert got[0] == reference[0]
@@ -243,7 +119,7 @@ class TestResidentStreamingSession:
             np.testing.assert_array_equal(mine, theirs)
 
     def test_closed_session_still_answers_queries_but_refuses_ingest(self):
-        with Runtime("processes", max_workers=2, persistent=True) as runtime:
+        with Runtime("threads", max_workers=2) as runtime:
             session = self.run_session(runtime)
             live = session.live_lp_norm(2.0)
             shards = [shard.copy() for shard in session.shards()]
@@ -258,21 +134,19 @@ class TestResidentStreamingSession:
                 session.end_epoch()
 
     def test_session_context_manager_closes(self):
-        with Runtime("threads", max_workers=2, persistent=True) as runtime:
+        with Runtime("threads", max_workers=2) as runtime:
             with StreamingSession(
                 [6, 6], np.eye(2, dtype=np.int64), seed=3, runtime=runtime
             ) as session:
-                assert session._resident is not None
-                arena = session._resident.arena
-            assert session._resident is None
-            assert not arena.names
+                assert not session.closed
+            assert session.closed
 
     def test_dropped_site_backlog_ships_after_restore(self):
         reference = self.collect(self.run_session(None))
 
         rng = np.random.default_rng(99)
         b = rng.integers(0, 3, size=(4, 3))
-        with Runtime("processes", max_workers=2, persistent=True) as runtime:
+        with Runtime("threads", max_workers=2) as runtime:
             session = StreamingSession(
                 [12, 12], b, seed=7, runtime=runtime, refresh="every-epoch"
             )

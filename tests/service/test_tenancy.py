@@ -443,17 +443,15 @@ class TestLifecycle:
 
 
 class TestSharedRuntime:
-    """Many resident sessions over one runtime: shared pools, flat tracking."""
+    """Many tenant sessions over one threads runtime: one pool, exact meters."""
 
-    def test_resident_tenants_share_the_runtime(self, b):
-        with Runtime("threads", max_workers=2, persistent=True) as runtime:
+    def test_tenants_share_the_runtime(self, b):
+        with Runtime("threads", max_workers=2) as runtime:
             with SessionManager(b, seed=7, runtime=runtime) as manager:
                 manager.open_tenant("a", [8, 8])
                 manager.open_tenant("b", [16])
-                assert runtime.resident_pool_count == 2
-                assert manager.metrics.get(
-                    "repro_resident_pool_occupancy"
-                ).value() == 2
+                assert manager.session("a").runtime is runtime
+                assert manager.session("b").runtime is runtime
                 stream_a, stream_b = batches(1), batches(2, sites=1)
                 for index in range(2):
                     for site, rows, deltas in stream_a[index]:
@@ -462,19 +460,21 @@ class TestSharedRuntime:
                         manager.ingest("b", site, rows, deltas)
                     manager.run_epoch(force=True)
                 manager.verify_accounting()
+                pool = runtime._pool
+                assert pool is not None
                 manager.close_tenant("a")
-                # The closed tenant's pool and arena leave the runtime.
-                assert runtime.resident_pool_count == 1
-                assert len(runtime._resident_pools) == 1
-                assert len(runtime._adopted_arenas) == 1
-            assert runtime.resident_pool_count == 0
-            assert runtime._adopted_arenas == []
+                # Closing one tenant leaves the shared pool to the others.
+                for site, rows, deltas in stream_b[2]:
+                    manager.ingest("b", site, rows, deltas)
+                manager.run_epoch(force=True)
+                manager.verify_accounting()
+                assert runtime._pool is pool
 
-    def test_resident_transcript_matches_serial(self, b):
+    def test_threads_transcript_matches_serial(self, b):
         with SessionManager(b, seed=7) as serial:
             serial.open_tenant("x", [8, 8], seed=11)
             reference = transcript(serial, "x", batches(9))
-        with Runtime("threads", max_workers=2, persistent=True) as runtime:
+        with Runtime("threads", max_workers=2) as runtime:
             with SessionManager(b, seed=7, runtime=runtime) as manager:
                 manager.open_tenant("other", [16])
                 manager.open_tenant("x", [8, 8], seed=11)

@@ -1,90 +1,24 @@
-"""Shared-memory arena + pinned sketch-state buffers (resident-mode base).
+"""Pinned sketch-state buffers.
 
-Two layers are pinned here:
-
-* :mod:`repro.sketch.shm` — allocation hands out zero-filled views,
-  ``attach`` round-trips through the picklable block descriptor, and the
-  arena never leaks a segment: ``close()`` (idempotent) and plain garbage
-  collection both unlink everything, proven by ``attach`` raising
-  ``FileNotFoundError`` afterwards.
-* the pinned-buffer mode of the sketches — a sketch whose state is backed
-  by a caller-owned buffer (``pin_state_buffer`` / ``pin_table_buffer``)
-  must stay *bit-identical* to an unpinned twin through updates, merges,
-  resets and re-use, including the ``-0.0`` sign-preservation corner the
-  rebinding semantics give for free.
+A sketch whose state is backed by a caller-owned buffer
+(``pin_state_buffer`` / ``pin_table_buffer``) must stay *bit-identical*
+to an unpinned twin through updates, merges, resets and re-use, including
+the ``-0.0`` sign-preservation corner the rebinding semantics give for
+free.
 """
 
 from __future__ import annotations
-
-import gc
-import pickle
 
 import numpy as np
 import pytest
 
 from repro.sketch import AmsSketch, CountSketch, L0Sampler, L0Sketch
-from repro.sketch import shm as shm_mod
 
 SEED = 424242
 
 
 def make_rng():
     return np.random.default_rng(SEED)
-
-
-class TestShmArena:
-    def test_allocate_zero_filled_and_typed(self):
-        with shm_mod.ShmArena() as arena:
-            view, block = arena.allocate((3, 4), np.float64)
-            assert view.shape == (3, 4)
-            assert view.dtype == np.float64
-            assert not view.any()
-            assert block.shape == (3, 4)
-            assert np.dtype(block.dtype) == np.float64
-            assert block.nbytes == 3 * 4 * 8
-
-    def test_attach_round_trips_data_through_the_descriptor(self):
-        with shm_mod.ShmArena() as arena:
-            view, block = arena.allocate((5,), np.int64)
-            view[:] = [1, -2, 3, -4, 5]
-            # The descriptor is what crosses process boundaries.
-            block = pickle.loads(pickle.dumps(block))
-            mapped, seg = shm_mod.attach(block)
-            try:
-                np.testing.assert_array_equal(mapped, view)
-                mapped[0] = 99  # same pages, both directions
-                assert view[0] == 99
-            finally:
-                del mapped
-                seg.close()
-
-    def test_zero_sized_allocations_are_legal(self):
-        with shm_mod.ShmArena() as arena:
-            view, block = arena.allocate((0, 7), np.int64)
-            assert view.shape == (0, 7)
-            mapped, seg = shm_mod.attach(block)
-            assert mapped.shape == (0, 7)
-            del mapped
-            seg.close()
-
-    def test_close_unlinks_every_segment_and_is_idempotent(self):
-        arena = shm_mod.ShmArena()
-        blocks = [arena.allocate((4,), np.float64)[1] for _ in range(3)]
-        arena.close()
-        arena.close()  # double close is a no-op
-        for block in blocks:
-            with pytest.raises(FileNotFoundError):
-                shm_mod.attach(block)
-        with pytest.raises(RuntimeError):
-            arena.allocate((1,), np.float64)
-
-    def test_garbage_collection_backstops_close(self):
-        arena = shm_mod.ShmArena()
-        _, block = arena.allocate((8,), np.float64)
-        del arena
-        gc.collect()
-        with pytest.raises(FileNotFoundError):
-            shm_mod.attach(block)
 
 
 def linear_sketches():

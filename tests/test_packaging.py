@@ -10,6 +10,7 @@ from functools import partial
 import pytest
 
 import repro
+from repro.engine.runtime import Runtime
 from repro.sketch import _native
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -52,6 +53,7 @@ REMOVED = [
         "repro.comm.party",
         "repro.core.exchange",
         "repro.sketch._native_numba",
+        "repro.sketch.shm",
     )
 ] + [
     pytest.param(partial(_attribute, module, name), AttributeError, id=f"{module}.{name}")
@@ -59,13 +61,20 @@ REMOVED = [
         ("repro.engine", "TreeTopology"),
         ("repro.engine", "Aggregator"),
         ("repro.service", "RemoteTreeNetwork"),
+        ("repro.engine.runtime", "ResidentPool"),
+        ("repro.engine.runtime", "WorkerCrashedError"),
     )
-] + [pytest.param(partial(_native.set_backend, "numba"), ValueError, id="set_backend-numba")]
+] + [
+    pytest.param(partial(_native.set_backend, "numba"), ValueError, id="set_backend-numba"),
+    pytest.param(partial(Runtime, "processes"), ValueError, id="Runtime-processes"),
+    pytest.param(partial(Runtime, persistent=True), TypeError, id="Runtime-persistent"),
+]
 
 
 @pytest.mark.parametrize("action, error", REMOVED)
 def test_removed_surface_stays_removed(action, error):
     """Deleted modules fail to import, deleted names fail to resolve, and
-    the numba backend is rejected."""
+    the numba backend, the processes executor and the persistent keyword
+    are rejected."""
     with pytest.raises(error):
         action()
