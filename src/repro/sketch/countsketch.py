@@ -75,42 +75,6 @@ class CountSketch:
         # clones (they share the hash functions, hence the tables).
         self._cache: dict[str, np.ndarray] = {}
         self.table = np.zeros((depth, width), dtype=float)
-        #: Optional caller-owned (e.g. shared-memory) backing buffer; see
-        #: :meth:`pin_table_buffer`.
-        self._pinned_table: np.ndarray | None = None
-
-    # ---------------------------------------------------------- pinned buffer
-    def pin_table_buffer(self, buf: np.ndarray) -> None:
-        """Back the counter table with a caller-owned (e.g. shm) buffer.
-
-        A 2-D buffer (scalar counters) is adopted immediately; a 3-D buffer
-        (vector-valued counters of a known dimension) is reserved and
-        adopted when the table widens on the first vector update, so the
-        empty table keeps its historical 2-D shape (and wire encoding).
-        Any existing counters are copied into the buffer.
-        """
-        if buf.shape[:2] != (self.depth, self.width) or buf.ndim not in (2, 3):
-            raise ValueError(
-                f"buffer of shape {buf.shape} does not fit a "
-                f"({self.depth}, {self.width}) sketch"
-            )
-        if buf.shape == self.table.shape:
-            buf[...] = self.table
-            self.table = buf
-        elif buf.ndim == 2 or np.any(self.table):
-            raise ValueError(
-                f"buffer of shape {buf.shape} does not fit the current "
-                f"table of shape {self.table.shape}"
-            )
-        self._pinned_table = buf
-
-    def unpin_table_buffer(self) -> None:
-        """Detach from the pinned buffer (copying live counters out of it)."""
-        if self._pinned_table is None:
-            return
-        if self.table is self._pinned_table:
-            self.table = self.table.copy()
-        self._pinned_table = None
 
     # --------------------------------------------------------------- hashing
     def _batch_buckets(self, keys: np.ndarray) -> np.ndarray:
@@ -237,12 +201,7 @@ class CountSketch:
                 "cannot apply vector-valued updates to a table already "
                 "holding scalar updates"
             )
-        pinned = self._pinned_table
-        if pinned is not None and pinned.ndim == 3 and pinned.shape[2] == value_dim:
-            pinned[...] = 0.0
-            self.table = pinned
-        else:
-            self.table = np.zeros((self.depth, self.width, value_dim), dtype=float)
+        self.table = np.zeros((self.depth, self.width, value_dim), dtype=float)
 
     def merge(self, other: "CountSketch") -> "CountSketch":
         """Entrywise-combine ``other``'s table into this one; returns self."""
@@ -257,12 +216,7 @@ class CountSketch:
             # An untouched scalar table adopts the other side's vector-valued
             # shape (mirrors the empty-state adoption of the linear sketches).
             if other.table.ndim == 3 and self.table.ndim == 2 and not np.any(self.table):
-                pinned = self._pinned_table
-                if pinned is not None and pinned.shape == other.table.shape:
-                    pinned[...] = other.table
-                    self.table = pinned
-                else:
-                    self.table = other.table.copy()
+                self.table = other.table.copy()
                 return self
             if self.table.ndim == 3 and other.table.ndim == 2 and not np.any(other.table):
                 return self
@@ -276,7 +230,6 @@ class CountSketch:
         """A fresh sketch sharing this one's hash functions, with a zero table."""
         clone = copy.copy(self)
         clone.table = np.zeros((self.depth, self.width), dtype=float)
-        clone._pinned_table = None
         return clone
 
     def state_array(self) -> np.ndarray:
@@ -285,15 +238,9 @@ class CountSketch:
 
     def load_state_array(self, state: np.ndarray | None) -> None:
         """Install a (deserialized) table; ``None`` resets to all zeros."""
-        pinned = self._pinned_table
         if state is None:
-            # Reset to the historical empty shape (2-D zeros); a 3-D pinned
-            # buffer is re-adopted (and re-zeroed) on the next vector update.
-            if pinned is not None and pinned.ndim == 2:
-                pinned[...] = 0.0
-                self.table = pinned
-            else:
-                self.table = np.zeros((self.depth, self.width), dtype=float)
+            # Reset to the historical empty shape (2-D zeros).
+            self.table = np.zeros((self.depth, self.width), dtype=float)
             return
         state = np.asarray(state, dtype=float)
         if state.ndim not in (2, 3) or state.shape[:2] != (self.depth, self.width):
@@ -301,11 +248,7 @@ class CountSketch:
                 f"table of shape {state.shape} does not fit a "
                 f"({self.depth}, {self.width}) sketch"
             )
-        if pinned is not None and pinned.shape == state.shape:
-            pinned[...] = state
-            self.table = pinned
-        else:
-            self.table = state
+        self.table = state
 
     def build_from_vector(self, x: np.ndarray) -> None:
         """Populate the sketch from a dense frequency vector.

@@ -139,53 +139,6 @@ class LinearStateMixin:
 
     state: np.ndarray | None = None
 
-    #: Optional preallocated backing buffer (shared-memory view) for the
-    #: state; installed by :meth:`pin_state_buffer`.  While the logical
-    #: state is empty the buffer is merely reserved (``state`` stays
-    #: ``None``); the first update/merge *copies* into it — preserving
-    #: rebinding semantics such as ``-0.0`` exactly — and every later
-    #: update accumulates in place, so the owner of the buffer (a resident
-    #: worker's coordinator) always reads the live state with zero copies.
-    _pinned_buf: np.ndarray | None = None
-
-    def pin_state_buffer(self, buf: np.ndarray) -> None:
-        """Back this sketch's state with a caller-owned (e.g. shm) buffer.
-
-        ``buf`` fixes the state's shape and dtype from now on; updates of a
-        different trailing shape raise instead of rebinding.  An existing
-        state is copied into the buffer.
-        """
-        if self.state is not None:
-            if self.state.shape != buf.shape:
-                raise ValueError(
-                    f"pinned buffer of shape {buf.shape} does not fit "
-                    f"existing state of shape {self.state.shape}"
-                )
-            buf[...] = self.state
-            self.state = buf
-        self._pinned_buf = buf
-
-    def unpin_state_buffer(self) -> None:
-        """Detach from the pinned buffer (copying any live state out of it)."""
-        if self._pinned_buf is None:
-            return
-        if self.state is self._pinned_buf:
-            self.state = self.state.copy()
-        self._pinned_buf = None
-
-    def _adopt_state(self, contribution: np.ndarray) -> None:
-        """First write: rebind, or copy into the pinned buffer if present."""
-        if self._pinned_buf is None:
-            self.state = contribution
-            return
-        if contribution.shape != self._pinned_buf.shape:
-            raise ValueError(
-                f"update of shape {contribution.shape} does not fit the "
-                f"pinned state buffer of shape {self._pinned_buf.shape}"
-            )
-        self._pinned_buf[...] = contribution
-        self.state = self._pinned_buf
-
     # ------------------------------------------------------------ host hooks
     def _contribution(self, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
         """The partial image ``S[:, indices] @ values`` of one batch."""
@@ -208,14 +161,12 @@ class LinearStateMixin:
         check_coordinate_range(indices, self.n)
         contribution = self._contribution(indices, values)
         if self.state is None:
-            self._adopt_state(contribution)
+            self.state = contribution
         elif self.state.shape != contribution.shape:
             raise ValueError(
                 f"update of shape {contribution.shape} does not match "
                 f"accumulated state of shape {self.state.shape}"
             )
-        elif self.state is self._pinned_buf:
-            self.state += contribution
         else:
             self.state = self.state + contribution
 
@@ -234,17 +185,12 @@ class LinearStateMixin:
         if other.state is None:
             return self
         if self.state is None:
-            if self._pinned_buf is not None:
-                self._adopt_state(other.state)
-            else:
-                self.state = other.state.copy()
+            self.state = other.state.copy()
         elif self.state.shape != other.state.shape:
             raise ValueError(
                 f"cannot merge state of shape {other.state.shape} into "
                 f"state of shape {self.state.shape}"
             )
-        elif self.state is self._pinned_buf:
-            self.state += other.state
         else:
             self.state = self.state + other.state
         return self
@@ -253,7 +199,6 @@ class LinearStateMixin:
         """A fresh sketch sharing this one's randomness, with no state yet."""
         clone = copy.copy(self)
         clone.state = None
-        clone._pinned_buf = None
         return clone
 
     def state_array(self) -> np.ndarray | None:
@@ -270,7 +215,4 @@ class LinearStateMixin:
             raise ValueError(
                 f"state has {state.shape[0]} rows, expected {self.num_rows}"
             )
-        if self._pinned_buf is not None:
-            self._adopt_state(state)
-        else:
-            self.state = state
+        self.state = state
