@@ -333,12 +333,7 @@ class Runtime:
         tiny first phase does not push the pool start-up onto the first
         real parallel phase.
         """
-        if self.executor == "serial":
-            return [fn(*task) for task in tasks]
-        pool = self._ensure_pool()
-        if len(tasks) < 2:
-            return [fn(*task) for task in tasks]
-        return list(pool.map(fn, *zip(*tasks)))
+        return self.map_async(fn, tasks)()
 
     def map_async(
         self, fn: Callable[..., Any], tasks: Sequence[tuple]
