@@ -14,8 +14,8 @@ session on ``Runtime("threads")``, under whatever kernel backend
    semantics.
 
 The threads/serial throughput ratio is printed, not gated: on a 2-CPU
-host it ranges from about 0.85x to 1.35x on this workload, so any floor
-would flake.
+host it ranged from 0.92x to 1.06x over ten runs under both kernel
+backends, so a floor at serial throughput would flake.
 
 Exit code 0 = all gates pass.
 """

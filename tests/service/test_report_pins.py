@@ -10,7 +10,10 @@ structure or their per-link keys fails here.
 
 Regenerate the pins (only after an *intentional* metering change) with::
 
-    PYTHONPATH=src python tests/service/test_report_pins.py
+    PYTHONPATH=src:. python tests/service/test_report_pins.py
+
+(``.`` as well, because the canonical encoding is imported from
+``tests.test_baseline_pins``.)
 """
 
 from __future__ import annotations
