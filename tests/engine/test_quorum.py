@@ -147,21 +147,44 @@ class TestQuorumOneShot:
                 shards, b, seed=SEED, runtime=Runtime(quorum=quorum)
             ).stream()
 
-    def test_quorum_without_conditions_answers_like_ideal_conditions(self):
+    def test_f_one_below_the_site_count_answers_from_one_site(self):
+        names = [f"site-{i}" for i in range(NUM_SITES)]
+        contributors, stragglers, details = Runtime(
+            quorum=NUM_SITES - 1
+        ).partition_quorum(names)
+        assert contributors == [0]
+        assert stragglers == names[1:]
+        assert details["required"] == 1
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda cluster: cluster.lp_norm(2.0, 0.3),
+            lambda cluster: cluster.natural_join_size(),
+            lambda cluster: cluster.l0_sample(0.4),
+            lambda cluster: cluster.l1_sample(),
+            lambda cluster: cluster.heavy_hitters(0.2, 0.1),
+        ],
+        ids=["lp_norm", "natural_join_size", "l0_sample", "l1_sample", "heavy_hitters"],
+    )
+    def test_quorum_without_conditions_answers_like_ideal_conditions(self, query):
         """A quorum runtime needs no network conditions: with every link
-        ideal, the fastest ``n - f`` are the first sites in site order."""
+        ideal, the fastest ``n - f`` are the first sites in site order.
+        Every family runs through the same star driver, so each is checked."""
         shards, b = _data()
         a = np.vstack(shards)
 
         def answer(conditions):
-            return ClusterEstimator.from_matrix(
-                a,
-                b,
-                NUM_SITES,
-                seed=1,
-                runtime=Runtime(quorum=1, dropout="exclude"),
-                conditions=conditions,
-            ).lp_norm(2.0, 0.3)
+            return query(
+                ClusterEstimator.from_matrix(
+                    a,
+                    b,
+                    NUM_SITES,
+                    seed=1,
+                    runtime=Runtime(quorum=1, dropout="exclude"),
+                    conditions=conditions,
+                )
+            )
 
         bare, ideal = answer(None), answer(NetworkConditions())
         assert bare.value == ideal.value

@@ -4,19 +4,24 @@ The serial-equivalence guarantee (``engine/runtime.py``) has two halves:
 
 * the **serial** executor is pinned to the historical transcripts by the
   existing equivalence/determinism suites, which run without a runtime;
-* the **threads** executor must reproduce the serial run bit for bit —
-  identical protocol outputs *and* identical byte/round meters (total,
-  per-label, per-round, per-link, per-site) — for every protocol family,
-  at k in {1, 2, 4}.  That is what this module pins.
+* the **threads** executor, and a runtime that pickles every task
+  function, task and result on its way through ``map`` — the path
+  ``repro.service.transport.RemoteRuntime`` takes to the site processes —
+  must reproduce the serial run bit for bit: identical protocol outputs
+  *and* identical byte/round meters (total, per-label, per-round,
+  per-link, per-site), for every protocol family, at k in {1, 2, 4}.
+  That is what this module pins.
 
-The family list includes a ``p != 1`` heavy-hitters run: that protocol
-consumes each site's private generator in *two* separated fan-out phases
-(the lp-norm subroutine, then entry sampling).  In process the task
-advances the site's own generator, so neither executor can tell whether
-``Runtime.map_sites`` restores the returned one.
+The pickling runtime stands in for a remote site: every task function
+must be importable by name, and every argument and result must survive the
+round trip unchanged.  The family list includes a ``p != 1`` heavy-hitters
+run, which fans out over each site's private generator in *two* phases
+(the lp-norm subroutine, then entry sampling).  On this workload the
+entry-sampling rate is 1, so the second phase keeps every entry whatever
+it draws, and even the pickling runtime cannot tell whether
+``Runtime.map_sites`` restores the returned generator;
 ``test_map_sites_restores_generators_that_crossed_a_pickle`` pins that
-restore with a runtime that pickles every task and result, as
-``repro.service.transport.RemoteRuntime`` does over TCP.
+restore directly, over two successive draws.
 
 Dropout policies and the streaming session's executor invariance are
 covered at the bottom.
@@ -84,10 +89,27 @@ def integer_pair():
     return a, b
 
 
-@pytest.fixture(scope="module")
-def concurrent_runtime():
-    """One shared thread pool for the whole module."""
-    runtime = Runtime("threads", max_workers=4)
+class _PicklingRuntime(Runtime):
+    """Ships every task function, task and result through pickle, as
+    ``RemoteRuntime`` does over TCP: a task draws from a *copy* of the
+    site's generator, and a task function that is not importable by name
+    fails.  ``map`` runs through ``map_async``, so both paths ship."""
+
+    def map_async(self, fn, tasks):
+        fn = pickle.loads(pickle.dumps(fn))
+        shipped = [pickle.loads(pickle.dumps(task)) for task in tasks]
+        results = [pickle.loads(pickle.dumps(fn(*task))) for task in shipped]
+        return lambda: results
+
+
+@pytest.fixture(scope="module", params=["threads", "pickled"])
+def concurrent_runtime(request):
+    """One runtime per fan-out path for the whole module: a shared thread
+    pool, and the pickling stand-in for a remote site."""
+    if request.param == "threads":
+        runtime = Runtime("threads", max_workers=4)
+    else:
+        runtime = _PicklingRuntime()
     yield runtime
     runtime.close()
 
@@ -150,35 +172,35 @@ def test_runtime_rejects_unknown_executor_and_policy():
         Runtime(max_workers=0)
 
 
-class _PicklingRuntime(Runtime):
-    """Ships every task and result through pickle, as ``RemoteRuntime``
-    does over TCP: a task draws from a *copy* of the site's generator."""
-
-    def map(self, fn, tasks):
-        shipped = [pickle.loads(pickle.dumps(task)) for task in tasks]
-        return [pickle.loads(pickle.dumps(fn(*task))) for task in shipped]
-
-
 def _draw(rng, size):
     return rng.integers(0, 2**62, size=size), rng
 
 
-def test_map_sites_restores_generators_that_crossed_a_pickle():
-    def two_draws(runtime):
-        sites = [SimpleNamespace(rng=np.random.default_rng(70 + i)) for i in range(3)]
-        draws = [
-            runtime.map_sites(_draw, sites, [(4,)] * len(sites)) for _ in range(2)
-        ]
-        return draws, [site.rng.bit_generator.state for site in sites]
+def _two_draws(runtime):
+    sites = [SimpleNamespace(rng=np.random.default_rng(70 + i)) for i in range(3)]
+    draws = [runtime.map_sites(_draw, sites, [(4,)] * len(sites)) for _ in range(2)]
+    return draws, [site.rng.bit_generator.state for site in sites]
 
-    serial_draws, serial_states = two_draws(Runtime())
-    pickled_draws, pickled_states = two_draws(_PicklingRuntime())
-    for first, second in zip(*serial_draws):
+
+def _assert_same_draws(serial, other):
+    serial_draws, serial_states = serial
+    other_draws, other_states = other
+    for ours, theirs in zip(serial_draws, other_draws):
+        for mine, their in zip(ours, theirs):
+            np.testing.assert_array_equal(mine, their)
+    assert other_states == serial_states
+
+
+def test_map_sites_restores_generators_that_crossed_a_pickle():
+    serial = _two_draws(Runtime())
+    for first, second in zip(*serial[0]):
         assert not np.array_equal(first, second)  # the second draw moved on
-    for ours, theirs in zip(serial_draws, pickled_draws):
-        for mine, other in zip(ours, theirs):
-            np.testing.assert_array_equal(mine, other)
-    assert pickled_states == serial_states
+    _assert_same_draws(serial, _two_draws(_PicklingRuntime()))
+
+
+def test_threaded_map_sites_advances_generators_like_serial():
+    with Runtime("threads", max_workers=3) as runtime:
+        _assert_same_draws(_two_draws(Runtime()), _two_draws(runtime))
 
 
 def test_estimator_facade_accepts_runtime(binary_pair, concurrent_runtime):

@@ -10,6 +10,10 @@ how a streaming session runs on it:
   still creates it on its way through,
 * context-manager reuse across runs and ``close()`` idempotency,
 * ``map_async`` dispatch/join semantics,
+* ``map`` under both executors: results in task order whatever finishes
+  first, a task's error reaching the caller (at dispatch when serial, at
+  the join when threaded) with the runtime still usable, and where the
+  tasks run (the caller's thread, or the pool's),
 * a streaming session on a threads runtime: bit-identical to serial,
   queryable after close, and a dropped site's backlog ships on restore.
 """
@@ -17,6 +21,8 @@ how a streaming session runs on it:
 from __future__ import annotations
 
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -27,6 +33,21 @@ from repro.engine.streaming import StreamingSession
 
 def _double(x):
     return 2 * x
+
+
+def _sleep_then_echo(delay, value):
+    time.sleep(delay)
+    return value
+
+
+def _fail_on(value, bad):
+    if value == bad:
+        raise KeyError(value)
+    return value
+
+
+def _thread_name(_):
+    return threading.current_thread().name
 
 
 class TestWorkerSizing:
@@ -43,6 +64,18 @@ class TestWorkerSizing:
         monkeypatch.setenv("REPRO_WORKERS", bad)
         with pytest.raises(ValueError):
             _default_workers()
+
+    def test_thread_pool_takes_the_env_width(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        with Runtime("threads") as runtime:
+            runtime.map(_double, [(1,), (2,)])
+            assert runtime._pool._max_workers == 3
+
+    def test_explicit_max_workers_beats_the_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        with Runtime("threads", max_workers=2) as runtime:
+            runtime.map(_double, [(1,), (2,)])
+            assert runtime._pool._max_workers == 2
 
 
 class TestPoolLifecycle:
@@ -76,6 +109,57 @@ class TestPoolLifecycle:
             tasks = [(i,) for i in range(5)]
             join = runtime.map_async(_double, tasks)
             assert join() == runtime.map(_double, tasks)
+
+
+class TestMapSemantics:
+    @pytest.mark.parametrize("executor", ["serial", "threads"])
+    def test_results_come_back_in_task_order(self, executor):
+        # Later tasks sleep less, so a threaded run finishes them first.
+        tasks = [(0.02 * (3 - i), i) for i in range(4)]
+        with Runtime(executor, max_workers=4) as runtime:
+            assert runtime.map(_sleep_then_echo, tasks) == [0, 1, 2, 3]
+            assert runtime.map_async(_sleep_then_echo, tasks)() == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("executor", ["serial", "threads"])
+    def test_a_task_error_reaches_the_caller_and_the_runtime_survives(
+        self, executor
+    ):
+        with Runtime(executor, max_workers=2) as runtime:
+            with pytest.raises(KeyError):
+                runtime.map(_fail_on, [(1, 2), (2, 2), (3, 2)])
+            assert runtime.map(_fail_on, [(1, 0), (2, 0)]) == [1, 2]
+
+    def test_serial_map_async_raises_at_dispatch(self):
+        with pytest.raises(KeyError):
+            Runtime().map_async(_fail_on, [(1, 2), (2, 2)])
+
+    def test_threaded_map_async_raises_at_the_join(self):
+        with Runtime("threads", max_workers=2) as runtime:
+            join = runtime.map_async(_fail_on, [(1, 2), (2, 2)])
+            with pytest.raises(KeyError):
+                join()
+
+    @pytest.mark.parametrize("executor", ["serial", "threads"])
+    def test_no_tasks_give_no_results(self, executor):
+        with Runtime(executor, max_workers=2) as runtime:
+            assert runtime.map(_double, []) == []
+            assert runtime.map_async(_double, [])() == []
+
+    @pytest.mark.parametrize("executor", ["serial", "threads"])
+    def test_a_single_task_runs_on_the_callers_thread(self, executor):
+        with Runtime(executor, max_workers=2) as runtime:
+            assert runtime.map(_thread_name, [(0,)]) == [
+                threading.current_thread().name
+            ]
+
+    def test_serial_runs_every_task_on_the_callers_thread(self):
+        caller = threading.current_thread().name
+        assert Runtime().map(_thread_name, [(i,) for i in range(3)]) == [caller] * 3
+
+    def test_threads_run_concurrent_tasks_on_the_pool(self):
+        with Runtime("threads", max_workers=2) as runtime:
+            names = runtime.map(_thread_name, [(i,) for i in range(3)])
+        assert all(name.startswith("repro-site") for name in names)
 
 
 class TestThreadedStreamingSession:

@@ -452,6 +452,7 @@ class TestSharedRuntime:
                 manager.open_tenant("b", [16])
                 assert manager.session("a").runtime is runtime
                 assert manager.session("b").runtime is runtime
+                assert manager.metrics.get("repro_resident_pool_occupancy") is None
                 stream_a, stream_b = batches(1), batches(2, sites=1)
                 for index in range(2):
                     for site, rows, deltas in stream_a[index]:

@@ -12,6 +12,8 @@ import pytest
 import repro
 from repro.engine.runtime import Runtime
 from repro.sketch import _native
+from repro.sketch.countsketch import CountSketch
+from repro.sketch.mergeable import LinearStateMixin
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -65,6 +67,21 @@ REMOVED = [
         ("repro.engine.runtime", "WorkerCrashedError"),
     )
 ] + [
+    # Resident mode's runtime methods and the sketches' shared-memory hooks.
+    pytest.param(partial(getattr, owner, name), AttributeError, id=f"{owner.__name__}.{name}")
+    for owner, name in (
+        (Runtime, "warm"),
+        (Runtime, "resident_pool"),
+        (Runtime, "discard_resident_pool"),
+        (Runtime, "resident_pool_count"),
+        (Runtime, "adopt_arena"),
+        (Runtime, "release_arena"),
+        (LinearStateMixin, "pin_state_buffer"),
+        (LinearStateMixin, "unpin_state_buffer"),
+        (CountSketch, "pin_table_buffer"),
+        (CountSketch, "unpin_table_buffer"),
+    )
+] + [
     pytest.param(partial(_native.set_backend, "numba"), ValueError, id="set_backend-numba"),
     pytest.param(partial(Runtime, "processes"), ValueError, id="Runtime-processes"),
     pytest.param(partial(Runtime, persistent=True), TypeError, id="Runtime-persistent"),
@@ -73,8 +90,8 @@ REMOVED = [
 
 @pytest.mark.parametrize("action, error", REMOVED)
 def test_removed_surface_stays_removed(action, error):
-    """Deleted modules fail to import, deleted names fail to resolve, and
-    the numba backend, the processes executor and the persistent keyword
-    are rejected."""
+    """Deleted modules fail to import, deleted names and methods fail to
+    resolve, and the numba backend, the processes executor and the
+    persistent keyword are rejected."""
     with pytest.raises(error):
         action()
