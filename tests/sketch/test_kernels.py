@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.sketch import AmsSketch, L0Sampler, kernels
+from repro.sketch import AmsSketch, L0Sampler, _native, kernels
 from repro.sketch.hashing import KWiseHash, PRIME_61
 from repro.sketch.kernels import (
     BitSignHash,
@@ -134,6 +134,38 @@ class TestScatterKernels:
             np.add.at(reference[row], buckets[row], signs[row][:, None] * deltas)
         scatter_add_vector(table, buckets, signs, deltas)
         np.testing.assert_array_equal(table, reference)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        depth=st.integers(1, 5),
+        width=st.integers(1, 16),
+        m=st.integers(1, 6),
+        batch=st.integers(0, 60),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_numpy_vector_scatter_matches_per_cell_bincounts(
+        self, seed, depth, width, m, batch
+    ):
+        """Fractional deltas into a non-zero table: summation order shows.
+
+        Every (row, bucket, column) cell must accumulate its batch in order
+        from zero and reach the table in one add, exactly like the
+        historical loop of one ``np.bincount`` per (row, column).
+        """
+        rng = np.random.default_rng(seed)
+        buckets = rng.integers(0, width, size=(depth, batch))
+        signs = rng.choice(np.array([-1, 1]), size=(depth, batch))
+        deltas = rng.normal(size=(batch, m)) * 10.0 ** rng.integers(-3, 4, size=m)
+        table = rng.normal(size=(depth, width, m))
+        reference = table.copy()
+        for row in range(depth):
+            for col in range(m):
+                reference[row, :, col] += np.bincount(
+                    buckets[row], weights=signs[row] * deltas[:, col], minlength=width
+                )
+        with _native.use_backend("numpy"):
+            scatter_add_vector(table, buckets, signs, deltas)
+        assert table.tobytes() == reference.tobytes()
 
     def test_integer_weights_far_past_float53_stay_exact(self):
         """Regression: int64 accumulation, not float64-bincount-then-cast.

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.sketch.l0_sampler import L0Sampler
 
@@ -80,3 +83,73 @@ class TestSampling:
         successes = trials - failures
         for index in support:
             assert counts[index] > successes / len(support) * 0.4
+
+
+@st.composite
+def sampler_batches(draw):
+    """A sampler plus one or two update batches of full-range int64 values.
+
+    Full-range values make the products and partial sums wrap past
+    ``2^63``, so byte equality checks the mod-``2^64`` arithmetic, not just
+    sums that no evaluation order could disagree on.
+    """
+    mode = draw(st.sampled_from(["dense", "hash"]))
+    n = draw(st.sampled_from([1, 2, 37, 256]))
+    repetitions = draw(st.integers(min_value=1, max_value=4))
+    sampler = L0Sampler(
+        n,
+        np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+        repetitions=repetitions,
+        mode=mode,
+    )
+    trailing = draw(st.sampled_from([(), (1,), (3,)]))
+    batches = []
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        batch = draw(st.integers(min_value=0, max_value=40))
+        indices = draw(
+            hnp.arrays(np.int64, batch, elements=st.integers(min_value=0, max_value=n - 1))
+        )
+        values = draw(
+            hnp.arrays(
+                np.int64,
+                (batch,) + trailing,
+                elements=st.integers(min_value=-(2**63), max_value=2**63 - 1),
+            )
+        )
+        batches.append((indices, values))
+    return sampler, batches
+
+
+def assert_state_is_matrix_product(sampler, batches):
+    """``update_many`` over ``batches`` equals the summed ``T[:, idx] @ values``."""
+    matrix = sampler.matrix
+    acc = sampler.empty_copy()
+    want = None
+    for indices, values in batches:
+        acc.update_many(indices, values)
+        part = matrix[:, indices] @ values
+        want = part if want is None else want + part
+    assert acc.state.dtype == want.dtype and acc.state.shape == want.shape
+    assert acc.state.tobytes() == want.tobytes()
+
+
+class TestUpdateEqualsMatrixProduct:
+    """Matrix-valued and vector updates equal the dense measurement product."""
+
+    @given(case=sampler_batches())
+    @settings(max_examples=200, deadline=None)
+    def test_wrapping_values(self, case):
+        sampler, batches = case
+        assert_state_is_matrix_product(sampler, batches)
+
+    @pytest.mark.parametrize("trailing", [(), (16,)])
+    @pytest.mark.parametrize("mode", ["dense", "hash"])
+    def test_large_batches_of_small_values(self, mode, trailing):
+        """Batches big enough for the products to leave the int64 loop."""
+        rng = np.random.default_rng(19)
+        sampler = L0Sampler(4096, rng, repetitions=8, mode=mode)
+        batches = [
+            (rng.integers(0, 4096, size=size), rng.integers(-3, 4, size=(size,) + trailing))
+            for size in (600, 1)
+        ]
+        assert_state_is_matrix_product(sampler, batches)

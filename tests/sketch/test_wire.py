@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -293,3 +295,156 @@ class TestPropertyRoundTrips:
     @settings(max_examples=60, deadline=None)
     def test_float64_arrays_round_trip_bit_identically(self, array):
         assert_bit_identical(roundtrip(array), array)
+
+
+# ------------------------------------------------------------------ pinned
+# A frozen copy of the encoder as it stood before its single-scan rewrite.
+# Its dtype, kind and body decisions are the wire format every recorded
+# transcript was metered in, so the live encoder must reproduce them byte
+# for byte.
+_FROZEN_INT_LADDER = [
+    (np.dtype("<i1"), -(2**7), 2**7 - 1),
+    (np.dtype("<i2"), -(2**15), 2**15 - 1),
+    (np.dtype("<i4"), -(2**31), 2**31 - 1),
+    (np.dtype("<i8"), -(2**63), 2**63 - 1),
+]
+_FROZEN_CODES = {
+    np.dtype("<i1"): 1,
+    np.dtype("<i2"): 2,
+    np.dtype("<i4"): 3,
+    np.dtype("<i8"): 4,
+    np.dtype("<f4"): 5,
+    np.dtype("<f8"): 6,
+}
+
+
+def _frozen_narrowest(low, high):
+    for dtype, lo, hi in _FROZEN_INT_LADDER:
+        if lo <= low and high <= hi:
+            return dtype
+    raise AssertionError("range exceeds int64")
+
+
+def _frozen_wire_dtype(array):
+    if array.size == 0:
+        if np.issubdtype(array.dtype, np.integer):
+            return np.dtype("<i1")
+        return array.dtype.newbyteorder("<")
+    if np.issubdtype(array.dtype, np.integer):
+        return _frozen_narrowest(int(array.min()), int(array.max()))
+    no_negative_zero = not np.any((array == 0) & np.signbit(array))
+    exact = bool(
+        np.all(np.isfinite(array))
+        and np.all(array == np.trunc(array))
+        and np.all(np.abs(array) <= 2.0**53)
+    )
+    if exact and no_negative_zero:
+        candidate = _frozen_narrowest(int(array.min()), int(array.max()))
+        if candidate.itemsize <= array.dtype.itemsize:
+            return candidate
+    return array.dtype.newbyteorder("<")
+
+
+def frozen_encode_array(array):
+    array = np.ascontiguousarray(array)
+    orig_code = _FROZEN_CODES[array.dtype.newbyteorder("<")]
+    wire_dtype = _frozen_wire_dtype(array)
+    flat = array.reshape(-1).astype(wire_dtype, copy=False)
+    dense_body = flat.tobytes()
+    if np.issubdtype(wire_dtype, np.floating):
+        nonzero = np.flatnonzero((flat != 0) | np.signbit(flat))
+    else:
+        nonzero = np.flatnonzero(flat)
+    sparse_size = 4 + nonzero.size * (4 + wire_dtype.itemsize)
+    if sparse_size < len(dense_body) and flat.size < 2**32:
+        kind = 2
+        body = (
+            struct.pack("<I", nonzero.size)
+            + nonzero.astype("<u4").tobytes()
+            + flat[nonzero].tobytes()
+        )
+    else:
+        kind = 1
+        body = dense_body
+    meta = struct.pack(
+        "<BBBB", kind, orig_code, _FROZEN_CODES[wire_dtype], array.ndim
+    ) + struct.pack(f"<{array.ndim}I", *array.shape)
+    return struct.pack("<2sB", b"RS", 1) + meta + body
+
+
+def _without_shape(record: bytes) -> bytes:
+    """A record minus its ``ndim`` byte and shape field."""
+    return record[:6] + record[7 + 4 * record[6] :]
+
+
+_FLOAT_SPECIALS = [
+    0.0, -0.0, np.nan, np.inf, -np.inf, 0.5, -2.25, 1.0, -1.0,
+    2.0**53, -(2.0**53), 2.0**53 + 2, -(2.0**53 + 2), 2.0**31, -(2.0**31) - 1,
+]
+
+
+@st.composite
+def wire_arrays(draw):
+    """int8..int64 / float32 / float64 arrays of 0-3 dims, dense or mostly zero.
+
+    Elements mix each dtype's extremes, small integers and (for floats)
+    ``-0.0``, NaN, infinities, the ``2^53`` exactness edge and fractions.
+    """
+    dtype = np.dtype(draw(st.sampled_from(["<i1", "<i2", "<i4", "<i8", "<f4", "<f8"])))
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=7))
+    if dtype.kind == "i":
+        info = np.iinfo(dtype)
+        elements = st.one_of(
+            st.integers(-3, 3),
+            st.sampled_from([int(info.min), int(info.max), int(info.min) + 1, -128, 127]),
+            st.integers(int(info.min), int(info.max)),
+        ).filter(lambda v: info.min <= v <= info.max)
+    else:
+        width = 8 * dtype.itemsize
+        specials = sorted(
+            {float(dtype.type(v)) for v in _FLOAT_SPECIALS if not np.isnan(v)}
+        ) + [np.nan, -0.0]
+        elements = st.one_of(
+            st.integers(-1000, 1000).map(float),
+            st.sampled_from(specials),
+            st.floats(width=width),
+        )
+    array = draw(hnp.arrays(dtype, shape, elements=elements))
+    density = draw(st.sampled_from([1.0, 0.3, 0.05, 0.0]))
+    if density < 1.0 and array.ndim:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        array[rng.random(array.shape) >= density] = 0
+    if draw(st.booleans()):
+        array = array.T  # a non-contiguous view for every ndim >= 2
+    return array
+
+
+class TestEncoderMatchesFrozenCopy:
+    """Every record equals the frozen encoder's, byte for byte."""
+
+    @given(array=wire_arrays())
+    @settings(max_examples=400, deadline=None)
+    def test_bytes_match(self, array):
+        got = wire.encode_array(array)
+        want = frozen_encode_array(array)
+        if array.ndim:
+            assert got == want
+        else:
+            # The frozen copy widened 0-d arrays to shape (1,); every dtype,
+            # kind and body decision must still agree.
+            assert _without_shape(got) == _without_shape(want)
+
+    @pytest.mark.parametrize("size", [1 << 12, 1 << 16])
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64, np.float32, np.int32])
+    @pytest.mark.parametrize("density", [0.0, 0.001, 0.2, 0.6, 1.0])
+    def test_large_states_match(self, size, dtype, density):
+        """Sparse/dense crossovers at sizes where the sparse body can win."""
+        rng = np.random.default_rng(size + int(density * 1000))
+        array = rng.integers(-300, 300, size=size).astype(dtype)
+        array[rng.random(size) >= density] = 0
+        assert wire.encode_array(array) == frozen_encode_array(array)
+        if np.issubdtype(dtype, np.floating):
+            halves = array / 2  # fractional entries keep the float wire dtype
+            assert wire.encode_array(halves) == frozen_encode_array(halves)
+            halves[:3] = -0.0
+            assert wire.encode_array(halves) == frozen_encode_array(halves)
