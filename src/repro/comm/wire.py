@@ -148,7 +148,7 @@ def encode_array(array: np.ndarray | None) -> bytes:
     if array is None:
         return header + struct.pack("<B", _KIND_ABSENT)
 
-    array = np.ascontiguousarray(array)
+    array = np.asarray(array, order="C")  # unlike ascontiguousarray, keeps 0-d
     orig_code = _dtype_code(array.dtype)
     wire_dtype = _wire_dtype(array)
     flat = array.reshape(-1).astype(wire_dtype, copy=False)

@@ -61,7 +61,8 @@ Payload codec
 leading byte: raw bytes pass through, numpy arrays and ``{str: array}``
 dicts use the byte-exact wire codec (:mod:`repro.comm.wire`), JSON-safe
 scalars travel as JSON, and everything else (sketch objects, composite
-dicts) falls back to pickle.  ``decode_payload`` restores the original
+dicts, arrays of a dtype the wire codec lacks, such as bool or uint64)
+falls back to pickle.  ``decode_payload`` restores the original
 value bit-exactly — pinned by round-trip tests over every payload type the
 11 protocol families actually send.
 """
@@ -213,7 +214,10 @@ def encode_payload(value: Any) -> bytes:
     if isinstance(value, (bytes, bytearray, memoryview)):
         return _TAG_BYTES + bytes(value)
     if isinstance(value, np.ndarray):
-        return _TAG_ARRAY + wire.encode_array(value)
+        try:
+            return _TAG_ARRAY + wire.encode_array(value)
+        except wire.WireFormatError:
+            pass  # bool/unsigned dtype: the pickle fallback still round-trips
     if (
         isinstance(value, dict)
         and value

@@ -91,6 +91,8 @@ PAYLOAD_CASES = [
     (0, 2),
     b"\x00raw-delta-bytes\xff",
     bytearray(b"mutable"),
+    np.array(5),
+    np.array(-0.0),
 ]
 
 
@@ -127,6 +129,16 @@ class TestPayloadCodec:
         """np.float64 is an isinstance of float; it must not decay to one."""
         assert type(decode_payload(encode_payload(np.float64(1.5)))) is np.float64
         assert type(decode_payload(encode_payload(np.int64(3)))) is np.int64
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.array([True, False]), np.array([1, 2**64 - 1], dtype=np.uint64)],
+        ids=["bool", "uint64"],
+    )
+    def test_arrays_without_a_wire_dtype_round_trip(self, value):
+        back = decode_payload(encode_payload(value))
+        assert back.dtype == value.dtype and back.shape == value.shape
+        assert back.tobytes() == value.tobytes()
 
     def test_bools_keep_their_type(self):
         assert decode_payload(encode_payload(True)) is True

@@ -40,6 +40,8 @@ class TestRoundTrips:
             np.float64(3.25) * np.ones((2, 2, 2)),
             np.arange(6, dtype=np.int32),
             np.arange(6, dtype=np.float32),
+            np.array(5),
+            np.array(-0.0),
         ],
     )
     def test_dense_and_sparse_arrays(self, array):
