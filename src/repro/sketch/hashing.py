@@ -44,7 +44,7 @@ def _mulmod_p61(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         + (lo & _P61)
     )  # < 3·2^61 < 2^63
     total = (total >> np.uint64(61)) + (total & _P61)
-    return np.where(total >= _P61, total - _P61, total)
+    return _reduce_once(total)
 
 
 def _mulmod_p61_small_b(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -58,14 +58,28 @@ def _mulmod_p61_small_b(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a_lo = a & _MASK32
     mid = a_hi * b  # < 2^61
     lo = a_lo * b  # < 2^64
-    total = (
-        (mid >> np.uint64(29))
-        + ((mid & np.uint64((1 << 29) - 1)) << np.uint64(32))
-        + (lo >> np.uint64(61))
-        + (lo & _P61)
-    )
-    total = (total >> np.uint64(61)) + (total & _P61)
-    return np.where(total >= _P61, total - _P61, total)
+    # The sum below is the one in _mulmod_p61 minus the vanished terms,
+    # evaluated in place to save temporaries.
+    total = mid >> np.uint64(29)
+    mid &= np.uint64((1 << 29) - 1)
+    mid <<= np.uint64(32)
+    total += mid
+    total += lo >> np.uint64(61)
+    lo &= _P61
+    total += lo
+    carry = total >> np.uint64(61)
+    total &= _P61
+    total += carry
+    return _reduce_once(total)
+
+
+def _reduce_once(acc: np.ndarray) -> np.ndarray:
+    """``acc mod p`` in place, for uint64 ``acc < 2p``.
+
+    ``np.minimum(acc, acc - p)`` equals ``np.where(acc >= p, acc - p, acc)``:
+    when ``acc < p`` the subtraction wraps to above ``2^63 > acc``.
+    """
+    return np.minimum(acc, acc - _P61, out=acc)
 
 
 class KWiseHash:

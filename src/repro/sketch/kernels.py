@@ -9,11 +9,14 @@ construction (the pre-kernel design), hash values are evaluated *on demand*
 for each update batch: one vectorized Mersenne-61 Horner pass over the
 batch, all depth rows at once via broadcasting, with a small-key fast path
 that skips the vanished partial products for keys below ``2^32``.
-Construction cost and memory are ``O(depth x k)`` — independent of the
-universe — which is what lets sketches span universes of ``2^30`` and
-beyond.  The per-key values are bit-identical to evaluating ``depth``
-separate :class:`repro.sketch.hashing.KWiseHash` members drawn from the
-same generator stream, so the rewrite changed no transcript anywhere.
+Horner starts at the leading coefficient (the historical first step from
+zero is the identity) and reduces in place, so a degree-1 hash costs one
+modular multiply.  Construction cost and memory are ``O(depth x k)`` —
+independent of the universe — which is what lets sketches span universes
+of ``2^30`` and beyond.  The per-key values are bit-identical to
+evaluating ``depth`` separate :class:`repro.sketch.hashing.KWiseHash`
+members drawn from the same generator stream, so the rewrite changed no
+transcript anywhere.
 
 **Bit-sliced sign hashing** (:class:`BitSignHash`).  A 4-wise independent
 hash value is uniform over the 61-bit Mersenne field, so each of its bits
@@ -36,6 +39,12 @@ order-of-magnitude disaster it classically was — it grew a fast path — but
 ``benchmarks/BENCH_sketch.json``.  The decisive cost at small universes is
 the dense-table *gather*, which is why the callers keep a dense cache only
 as an adaptive small-universe optimization and hash lazily otherwise.)
+Vector values scatter in one call over the flattened
+``(row, bucket, column)`` cells instead of one call per (row, column):
+each cell still sums its batch in order from zero and is added to the
+table once, so even fractional updates keep their bytes.  The integer
+``l_0``-sketch scatter likewise runs one 1-D indexed add over the
+flattened ``(row, column)`` cells.
 
 **Nested levels** (:func:`count_alive_levels`, :func:`expand_levels`,
 :func:`nested_level_sums`).  The layered-subsampling sketches touch levels
@@ -78,7 +87,7 @@ from repro.sketch.hashing import (
     KWiseHash,
     _mulmod_p61,
     _mulmod_p61_small_b,
-    _P61,
+    _reduce_once,
 )
 
 __all__ = [
@@ -129,14 +138,7 @@ class StackedKWiseHash:
         backend = _native.active()
         if backend is not None:
             return backend.horner(self.coeffs, keys_mod)
-        keys_mod = keys_mod[None, :]
-        small = keys_mod.size == 0 or int(keys_mod.max()) < (1 << 32)
-        mulmod = _mulmod_p61_small_b if small else _mulmod_p61
-        acc = np.zeros((self.depth, keys_mod.shape[1]), dtype=np.uint64)
-        for j in range(self.k):
-            acc = mulmod(acc, keys_mod) + self.coeffs[:, j : j + 1]
-            acc = np.where(acc >= _P61, acc - _P61, acc)
-        return acc
+        return _horner(self.coeffs[:, :, None], keys_mod[None, :])
 
     def values_grid(self, keys: np.ndarray) -> np.ndarray:
         """Row ``r``'s hash evaluated at ``keys[r]`` — no cross-row waste.
@@ -156,14 +158,8 @@ class StackedKWiseHash:
         backend = _native.active()
         if backend is not None:
             return backend.horner_grid(self.coeffs, np.ascontiguousarray(keys_mod))
-        small = keys_mod.size == 0 or int(keys_mod.max()) < (1 << 32)
-        mulmod = _mulmod_p61_small_b if small else _mulmod_p61
-        acc = np.zeros(keys_mod.shape, dtype=np.uint64)
-        coeff_shape = (self.depth,) + (1,) * (keys_mod.ndim - 1)
-        for j in range(self.k):
-            acc = mulmod(acc, keys_mod) + self.coeffs[:, j].reshape(coeff_shape)
-            acc = np.where(acc >= _P61, acc - _P61, acc)
-        return acc
+        per_row = (self.depth, self.k) + (1,) * (keys_mod.ndim - 1)
+        return _horner(self.coeffs.reshape(per_row), keys_mod)
 
     def buckets(self, keys: np.ndarray, n_buckets: int) -> np.ndarray:
         """Bucket assignments in ``[0, n_buckets)``, shape ``(depth, batch)``."""
@@ -175,6 +171,28 @@ class StackedKWiseHash:
         """``{-1, +1}`` signs, shape ``(depth, batch)``."""
         parity = (self.values(keys) & np.uint64(1)).astype(np.int64)
         return 2 * parity - 1
+
+
+def _horner(coeffs: np.ndarray, keys_mod: np.ndarray) -> np.ndarray:
+    """Evaluate the polynomials ``coeffs[:, j]`` (leading first) at ``keys_mod``.
+
+    ``coeffs[:, j]`` broadcasts against ``keys_mod``; the result has their
+    broadcast shape.  Horner starts at the leading coefficient, because the
+    historical first step from ``acc = 0`` is the identity
+    (``mulmod(0, x) + c0 = c0 < p``), so a degree-1 hash costs one modular
+    multiply.
+    """
+    if coeffs.shape[1] == 1:
+        shape = np.broadcast_shapes(coeffs[:, 0].shape, keys_mod.shape)
+        return np.broadcast_to(coeffs[:, 0], shape).copy()
+    small = keys_mod.size == 0 or int(keys_mod.max()) < (1 << 32)
+    mulmod = _mulmod_p61_small_b if small else _mulmod_p61
+    acc = coeffs[:, 0]
+    for j in range(1, coeffs.shape[1]):
+        acc = mulmod(acc, keys_mod)  # a fresh full-shape array
+        acc += coeffs[:, j]
+        _reduce_once(acc)
+    return acc
 
 
 class BitSignHash:
@@ -258,8 +276,11 @@ def scatter_add_vector(
     """Vector-valued analogue: add ``signs[r, t] * deltas[t, :]`` row-vectors.
 
     ``table`` has shape ``(depth, width, m)`` and ``deltas`` shape
-    ``(batch, m)``; value columns are independent, so the scatter is one
-    bincount per (row, column) pair over the same bucket indices.
+    ``(batch, m)``.  The scatter is one ``np.bincount`` over the flattened
+    ``(row, bucket, column)`` cells, laid out ``(row, t, column)`` so that
+    each cell still accumulates its batch in order from zero and reaches
+    the table in one add — the same association as one bincount per
+    (row, column), and as the native shim.
     """
     depth, width, m = table.shape
     backend = _native.active()
@@ -271,13 +292,14 @@ def scatter_add_vector(
             np.ascontiguousarray(deltas, dtype=np.float64),
         )
         return
-    for row in range(depth):
-        row_buckets = buckets[row]
-        row_signs = signs[row]
-        for col in range(m):
-            table[row, :, col] += np.bincount(
-                row_buckets, weights=row_signs * deltas[:, col], minlength=width
-            )
+    # order="C": gathers from a dense cache come back column-major, and
+    # the flat views below must not copy.
+    row_buckets = buckets + (np.arange(depth) * width)[:, None]
+    cells = np.add(row_buckets[:, :, None] * m, np.arange(m), order="C")
+    weights = np.multiply(signs[:, :, None], deltas, order="C")
+    table += np.bincount(
+        cells.reshape(-1), weights=weights.reshape(-1), minlength=table.size
+    ).reshape(table.shape)
 
 
 def bincount_rows(
@@ -296,38 +318,31 @@ def bincount_rows(
     replaced (a float64 ``bincount`` would silently round weights past
     ``2^53``, and the layered sketches' internal weights reach
     ``coefficient x value``, far beyond the raw delta bound).  Float
-    weights accumulate through ``np.bincount``, one call per value column.
+    weights accumulate through ``np.bincount``.  2-D weights scatter into
+    the flattened ``(row, column)`` cells in one call either way.
     """
     backend = _native.active()
-    if exact_int:
-        weights = weights.astype(np.int64, copy=False)
-        shape = (num_rows,) if weights.ndim == 1 else (num_rows, weights.shape[1])
-        out = np.zeros(shape, dtype=np.int64)
-        if backend is not None:
-            backend.bincount_i64(
-                np.ascontiguousarray(rows, dtype=np.int64),
-                np.ascontiguousarray(weights),
-                out,
-            )
-        else:
-            np.add.at(out, rows, weights)
-        return out
+    width = 1 if weights.ndim == 1 else weights.shape[1]
+    shape = (num_rows,) if weights.ndim == 1 else (num_rows, width)
+    dtype = np.int64 if exact_int else np.float64
     if backend is not None:
-        shape = (num_rows,) if weights.ndim == 1 else (num_rows, weights.shape[1])
-        out = np.zeros(shape, dtype=np.float64)
-        backend.bincount_f64(
+        out = np.zeros(shape, dtype=dtype)
+        kernel = backend.bincount_i64 if exact_int else backend.bincount_f64
+        kernel(
             np.ascontiguousarray(rows, dtype=np.int64),
-            np.ascontiguousarray(weights, dtype=np.float64),
+            np.ascontiguousarray(weights, dtype=dtype),
             out,
         )
         return out
-    if weights.ndim == 1:
-        return np.bincount(rows, weights=weights, minlength=num_rows)
-    m = weights.shape[1]
-    out = np.empty((num_rows, m), dtype=np.float64)
-    for col in range(m):
-        out[:, col] = np.bincount(rows, weights=weights[:, col], minlength=num_rows)
-    return out
+    cells = rows if weights.ndim == 1 else rows[:, None] * width + np.arange(width)
+    if exact_int:
+        out = np.zeros(shape, dtype=np.int64)
+        flat_weights = weights.astype(np.int64, copy=False).reshape(-1)
+        np.add.at(out.reshape(-1), cells.reshape(-1), flat_weights)
+        return out
+    return np.bincount(
+        cells.reshape(-1), weights=weights.reshape(-1), minlength=num_rows * width
+    ).reshape(shape)
 
 
 def count_alive_levels(priorities: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
