@@ -46,22 +46,17 @@ table once, so even fractional updates keep their bytes.  The integer
 ``l_0``-sketch scatter likewise runs one 1-D indexed add over the
 flattened ``(row, column)`` cells.
 
-**Nested levels** (:func:`count_alive_levels`, :func:`expand_levels`,
-:func:`nested_level_sums`).  The layered-subsampling sketches touch levels
-``0..c_j - 1`` of their hierarchy per updated coordinate ``j``, where
-``c_j`` is its alive-level count.  The ``l_0`` sketch also picks a bucket
-per coordinate, so ``expand_levels`` turns the counts into the flat
-``(coordinate, level)`` pairs in one vectorized pass (expected blow-up
-factor 2: level depths are geometric) and feeds them to the fused bincount.
-The ``l_0``-sampler has no buckets: its level ``g`` is the plain sum over
-every coordinate with ``c_j > g``.  Because the levels are nested, that is a
-suffix sum over counts.  ``nested_level_sums`` group-sums the batch by count
-into ``levels + 1`` rows (stable argsort plus ``np.add.reduceat``) and takes
-one reverse ``cumsum``, so the batch is never expanded.  It is exact: int64
-addition wraps mod ``2^64``, hence is associative and commutative, so this
-summation order gives the same bytes as the batch-order expanded scatter.
-The same trick does not pay for the ``l_0`` sketch, whose
-``(levels + 1) x buckets`` groups outnumber the rows of a typical batch.
+**Nested levels** (:func:`count_alive_levels`, :func:`expand_levels`).
+The layered-subsampling sketches touch levels ``0..c_j - 1`` of their
+hierarchy per updated coordinate ``j``, where ``c_j`` is its alive-level
+count.  The ``l_0`` sketch also picks a bucket per coordinate, so
+``expand_levels`` turns the counts into the flat ``(coordinate, level)``
+pairs in one vectorized pass (expected blow-up factor 2: level depths are
+geometric) and feeds them to the fused scatter.  The ``l_0``-sampler has
+no buckets: its level ``g`` is the plain sum over every coordinate with
+``c_j > g``, so a batch's update is a product of the 0/1 alive indicator
+``(level < c_j)`` with the batch, which :func:`exact_matmul` computes
+(see :meth:`repro.sketch.l0_sampler.L0Sampler._contribution`).
 
 **Exact integer products** (:func:`exact_matmul`).  NumPy's int64 ``@``
 does not use BLAS, but the protocols' exact products fit float64: if
@@ -97,7 +92,6 @@ __all__ = [
     "count_alive_levels",
     "exact_matmul",
     "expand_levels",
-    "nested_level_sums",
     "scatter_add_scalar",
     "scatter_add_vector",
 ]
@@ -377,36 +371,6 @@ def expand_levels(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     level = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
     return take, level
-
-
-def nested_level_sums(
-    counts: np.ndarray, weights: np.ndarray, levels: int
-) -> np.ndarray:
-    """Row ``g`` sums ``weights[t]`` over every ``t`` with ``counts[t] > g``.
-
-    Equals scattering every :func:`expand_levels` pair ``(t, g)`` into row
-    ``g``, without the expansion: the batch is group-summed by count into
-    ``levels + 1`` rows (stable argsort, then ``np.add.reduceat``), and one
-    reverse ``cumsum`` turns per-count sums into per-level suffix sums.
-    Integer weights accumulate in int64, whose addition wraps mod ``2^64``
-    and is therefore associative — every summation order yields the same
-    bytes as the batch-order scatter.  Float weights are summed in a
-    different order than that scatter, so they agree up to rounding.
-
-    ``counts`` has shape ``(batch,)`` with entries in ``[0, levels]``;
-    ``weights`` has shape ``(batch, ...)``; the result has shape
-    ``(levels, ...)`` and the dtype of ``weights``.
-    """
-    counts = np.asarray(counts, dtype=np.int64)
-    per_count = np.zeros((levels + 1,) + weights.shape[1:], dtype=weights.dtype)
-    if counts.size:
-        order = np.argsort(counts, kind="stable")
-        ordered = counts[order]
-        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-        per_count[ordered[starts]] = np.add.reduceat(weights[order], starts, axis=0)
-    # suffix[c] = sum of per_count[c:]; level g keeps every count > g.
-    suffix = np.cumsum(per_count[::-1], axis=0)[::-1]
-    return suffix[1:]
 
 
 def exact_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:

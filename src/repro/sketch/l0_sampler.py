@@ -20,13 +20,13 @@ support (every non-zero coordinate is equally likely to be the unique
 survivor).
 
 Like the ``l_0`` sketch, the measurement matrix is never materialized.
-Updates use the nesting of the levels: a coordinate alive at ``c`` levels
-touches levels ``0..c-1``, so level ``g`` of a repetition is the sum, over
-counts greater than ``g``, of the batch's per-count group sums — one
-group-sum and one reverse cumulative sum per repetition
-(:func:`~repro.sketch.kernels.nested_level_sums`).  That order of int64
-additions differs from the historical matmul's, but int64 addition wraps
-mod ``2^64`` and is associative, so the bytes are the same.  Recovery is
+A coordinate alive at ``c`` levels touches levels ``0..c-1``, so the
+matrix's columns for a batch are a 0/1 alive indicator per (repetition,
+level) times the per-coordinate weights ``1``, ``j + 1`` and ``c_j``.  An
+update is two products of that indicator with the batch, covering every
+repetition at once (:func:`~repro.sketch.kernels.exact_matmul`).  Their
+int64 sums run in another order than the historical matmul's, but int64
+arithmetic wraps mod ``2^64``, so the bytes are the same.  Recovery is
 one vectorized scan over all ``(repetition, level)`` cells, and
 ``mode="hash"`` derives all per-coordinate randomness from lazy hashes so
 the universe can be ``2^30`` and beyond.  Measurements accumulate in
@@ -44,11 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.sketch.hashing import PRIME_61
-from repro.sketch.kernels import (
-    StackedKWiseHash,
-    count_alive_levels,
-    nested_level_sums,
-)
+from repro.sketch.kernels import StackedKWiseHash, count_alive_levels, exact_matmul
 from repro.sketch.mergeable import LinearStateMixin
 
 #: Fingerprint coefficients come from [1, COEFF_BOUND).
@@ -56,6 +52,10 @@ COEFF_BOUND = 1 << 20
 
 #: ``matrix`` materialization bound (inspection/tests only).
 _DENSE_MATERIALIZE_MAX = 1 << 24
+
+#: Most alive-indicator entries (repetitions x levels x positions) one
+#: update block materializes.
+_INDICATOR_BLOCK = 1 << 22
 
 
 @dataclass
@@ -185,20 +185,37 @@ class L0Sampler(LinearStateMixin):
 
     # ------------------------------------------------------------------ api
     def _contribution(self, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """``T[:, indices] @ values`` without ``T``, by nested-level suffix sums."""
+        """``T[:, indices] @ values`` without ``T``, as two indicator products.
+
+        Row ``(rep, level)`` of the alive indicator is 1 at batch position
+        ``t`` iff ``level < counts[rep, t]``.  The three measurement rows of
+        that level are the indicator, the indicator times ``indices + 1``
+        and the indicator times the fingerprint coefficients, so one update
+        is ``indicator @ [values | (indices + 1) * values]`` plus
+        ``(indicator * coeffs) @ values``.  Integer products go through
+        :func:`~repro.sketch.kernels.exact_matmul`, whose float64 route is
+        exact and whose int64 route wraps mod ``2^64`` like the dense
+        matmul, so the bytes equal ``T[:, indices] @ values``.  Batches past
+        ``_INDICATOR_BLOCK`` indicator entries are summed block by block.
+        """
         counts, coeffs = self._batch_randomness(indices)
         dtype = np.int64 if np.issubdtype(values.dtype, np.integer) else np.float64
         values = values.astype(dtype, copy=False)
-        per_entry = (slice(None),) + (None,) * (values.ndim - 1)
-        shifted = (indices + 1)[per_entry] * values  # +1 keeps s1 != 0 for j = 0
-        trailing = values.shape[1:]
-        out = np.empty(
-            (self.repetitions, self.levels, self.rows_per_level) + trailing, dtype=dtype
-        )
-        for rep in range(self.repetitions):
-            weights = np.stack([values, shifted, coeffs[rep][per_entry] * values], axis=1)
-            out[rep] = nested_level_sums(counts[rep], weights, self.levels)
-        return out.reshape((self.num_rows,) + trailing)
+        batch, width = indices.shape[0], math.prod(values.shape[1:])
+        columns = values.reshape(batch, width)
+        shifted = (indices + 1)[:, None] * columns  # +1 keeps s1 != 0 for j = 0
+        paired = np.concatenate([columns, shifted], axis=1)
+        level = np.arange(self.levels)[:, None]
+        out = np.zeros((self.repetitions * self.levels, 3, width), dtype=dtype)
+        step = max(1, _INDICATOR_BLOCK // (self.repetitions * self.levels))
+        for start in range(0, batch, step):
+            block = slice(start, start + step)
+            alive = level < counts[:, None, block]  # (reps, levels, block)
+            indicator = alive.view(np.uint8).reshape(out.shape[0], -1)
+            weighted = (alive * coeffs[:, None, block]).reshape(indicator.shape)
+            out[:, :2] += exact_matmul(indicator, paired[block]).reshape(-1, 2, width)
+            out[:, 2] += exact_matmul(weighted, columns[block])
+        return out.reshape((self.num_rows,) + values.shape[1:])
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Compute the sampler sketch ``T x`` (integer inputs expected)."""

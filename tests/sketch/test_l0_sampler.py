@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.sketch import l0_sampler
 from repro.sketch.l0_sampler import L0Sampler
 
 
@@ -153,3 +154,12 @@ class TestUpdateEqualsMatrixProduct:
             for size in (600, 1)
         ]
         assert_state_is_matrix_product(sampler, batches)
+
+    def test_batches_longer_than_one_indicator_block(self, monkeypatch):
+        """Block sums wrap like one product: 50 positions in 13 blocks."""
+        monkeypatch.setattr(l0_sampler, "_INDICATOR_BLOCK", 100)
+        rng = np.random.default_rng(23)
+        sampler = L0Sampler(64, rng, repetitions=3, mode="hash")
+        info = np.iinfo(np.int64)
+        values = rng.integers(info.min, info.max, size=(50, 2), endpoint=True)
+        assert_state_is_matrix_product(sampler, [(rng.integers(0, 64, size=50), values)])
