@@ -121,57 +121,74 @@ def _narrowest_int_dtype(low: int, high: int) -> np.dtype:
     raise WireFormatError(f"integer range [{low}, {high}] exceeds int64")
 
 
-def _wire_dtype(array: np.ndarray) -> np.dtype:
-    """The narrowest dtype that represents ``array`` exactly on the wire."""
-    if array.size == 0:
-        return np.dtype("<i1") if np.issubdtype(array.dtype, np.integer) else array.dtype.newbyteorder("<")
-    if np.issubdtype(array.dtype, np.integer):
-        return _narrowest_int_dtype(int(array.min()), int(array.max()))
+def _wire_dtype(dtype: np.dtype, explicit: np.ndarray, has_zero: bool) -> np.dtype:
+    """The narrowest dtype that represents an array exactly on the wire.
+
+    ``explicit`` holds every entry of the array except its positive zeros,
+    and ``has_zero`` says whether it has any; both ranges and every
+    exactness test below read only those entries.
+    """
+    integer = dtype.kind == "i"  # the only integer kind with a wire code
+    if explicit.size == 0 and not has_zero:
+        return np.dtype("<i1") if integer else dtype.newbyteorder("<")
+    low, high = (explicit.min(), explicit.max()) if explicit.size else (0, 0)
+    if has_zero:
+        low, high = min(low, 0), max(high, 0)
+    if integer:
+        return _narrowest_int_dtype(int(low), int(high))
     # Floats: ship as integers when every value is integral (AMS and
     # CountSketch states are sign-weighted sums of integer updates, so this
-    # is the common case).  Beyond the shared exactness invariant the
-    # downcast also requires no negative zeros, whose sign bit an integer
-    # cannot carry.
-    no_negative_zero = not np.any((array == 0) & np.signbit(array))
-    if is_exact_integer_valued(array) and no_negative_zero:
-        candidate = _narrowest_int_dtype(int(array.min()), int(array.max()))
+    # is the common case): is_exact_integer_valued, where the range bounds
+    # also reject NaN (it fails every comparison) and the infinities.  The
+    # downcast also requires no negative zeros (the only explicit entries
+    # equal to zero), whose sign bit an integer cannot carry.
+    if (
+        -(2.0**53) <= low
+        and high <= 2.0**53
+        and explicit.all()
+        and (explicit == np.trunc(explicit)).all()
+    ):
+        candidate = _narrowest_int_dtype(int(low), int(high))
         # Downcast only when it actually shrinks the payload: large-valued
         # float32 states would otherwise widen to int64.
-        if candidate.itemsize <= array.dtype.itemsize:
+        if candidate.itemsize <= dtype.itemsize:
             return candidate
-    return array.dtype.newbyteorder("<")
+    return dtype.newbyteorder("<")
 
 
 def encode_array(array: np.ndarray | None) -> bytes:
-    """Encode one state array (or an absent state) as a wire record."""
+    """Encode one state array (or an absent state) as a wire record.
+
+    One scan finds the explicit entries, the ones a sparse record must
+    carry: everything except positive zeros.  The wire dtype is read off
+    those entries alone, and only the body that ships is built.
+    """
     header = struct.pack("<2sB", _MAGIC, _VERSION)
     if array is None:
         return header + struct.pack("<B", _KIND_ABSENT)
 
     array = np.asarray(array, order="C")  # unlike ascontiguousarray, keeps 0-d
     orig_code = _dtype_code(array.dtype)
-    wire_dtype = _wire_dtype(array)
-    flat = array.reshape(-1).astype(wire_dtype, copy=False)
+    flat = array.reshape(-1)
+    # A float's positive zero is its only all-zero bit pattern, so comparing
+    # raw bits keeps negative zeros (and NaNs) explicit: a sparse round trip
+    # must restore their bits.
+    bits = flat.view(f"u{flat.itemsize}") if flat.dtype.kind == "f" else flat
+    index = np.flatnonzero(bits != 0)
+    explicit = flat[index]
+    wire_dtype = _wire_dtype(array.dtype, explicit, index.size < flat.size)
 
-    dense_body = flat.tobytes()
-    # Entries the sparse encoding must carry explicitly: everything that is
-    # not a positive zero.  Negative zeros compare equal to zero but carry a
-    # sign bit, so they count as non-zero here to keep round trips bit-exact.
-    if np.issubdtype(wire_dtype, np.floating):
-        nonzero = np.flatnonzero((flat != 0) | np.signbit(flat))
-    else:
-        nonzero = np.flatnonzero(flat)
-    sparse_size = 4 + nonzero.size * (4 + wire_dtype.itemsize)
-    if sparse_size < len(dense_body) and flat.size < 2**32:
+    sparse_size = 4 + index.size * (4 + wire_dtype.itemsize)
+    if sparse_size < flat.size * wire_dtype.itemsize and flat.size < 2**32:
         kind = _KIND_SPARSE
         body = (
-            struct.pack("<I", nonzero.size)
-            + nonzero.astype("<u4").tobytes()
-            + flat[nonzero].tobytes()
+            struct.pack("<I", index.size)
+            + index.astype("<u4").tobytes()
+            + explicit.astype(wire_dtype).tobytes()
         )
     else:
         kind = _KIND_DENSE
-        body = dense_body
+        body = flat.astype(wire_dtype, copy=False).tobytes()
 
     meta = struct.pack(
         "<BBBB", kind, orig_code, _dtype_code(wire_dtype), array.ndim
