@@ -92,6 +92,7 @@ __all__ = [
     "count_alive_levels",
     "exact_matmul",
     "expand_levels",
+    "joint_values",
     "scatter_add_scalar",
     "scatter_add_vector",
 ]
@@ -127,12 +128,7 @@ class StackedKWiseHash:
 
     def values(self, keys: np.ndarray) -> np.ndarray:
         """Hash values in ``[0, PRIME_61)``, shape ``(depth, len(keys))``."""
-        keys = np.asarray(keys, dtype=np.int64).reshape(-1)
-        keys_mod = (keys % np.int64(PRIME_61)).astype(np.uint64)
-        backend = _native.active()
-        if backend is not None:
-            return backend.horner(self.coeffs, keys_mod)
-        return _horner(self.coeffs[:, :, None], keys_mod[None, :])
+        return joint_values((self,), keys)
 
     def values_grid(self, keys: np.ndarray) -> np.ndarray:
         """Row ``r``'s hash evaluated at ``keys[r]`` — no cross-row waste.
@@ -165,6 +161,22 @@ class StackedKWiseHash:
         """``{-1, +1}`` signs, shape ``(depth, batch)``."""
         parity = (self.values(keys) & np.uint64(1)).astype(np.int64)
         return 2 * parity - 1
+
+
+def joint_values(hashes: tuple[StackedKWiseHash, ...], keys: np.ndarray) -> np.ndarray:
+    """The rows of every hash in ``hashes`` at ``keys``, stacked in order.
+
+    One Horner pass over the stacked coefficient tables: a sketch that draws
+    several hashes per coordinate pays the per-call cost once.  The hashes
+    must share their degree ``k``.
+    """
+    coeffs = np.concatenate([h.coeffs for h in hashes])
+    keys = np.asarray(keys, dtype=np.int64).reshape(-1)
+    keys_mod = (keys % np.int64(PRIME_61)).astype(np.uint64)
+    backend = _native.active()
+    if backend is not None:
+        return backend.horner(coeffs, keys_mod)
+    return _horner(coeffs[:, :, None], keys_mod[None, :])
 
 
 def _horner(coeffs: np.ndarray, keys_mod: np.ndarray) -> np.ndarray:

@@ -44,7 +44,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.sketch.hashing import PRIME_61
-from repro.sketch.kernels import StackedKWiseHash, count_alive_levels, exact_matmul
+from repro.sketch.kernels import (
+    StackedKWiseHash,
+    count_alive_levels,
+    exact_matmul,
+    joint_values,
+)
 from repro.sketch.mergeable import LinearStateMixin
 
 #: Fingerprint coefficients come from [1, COEFF_BOUND).
@@ -140,12 +145,13 @@ class L0Sampler(LinearStateMixin):
         """(alive level counts, fingerprint coeffs), each ``(reps, batch)``."""
         if self.mode == "dense":
             return self._alive_counts[:, indices], self._fingerprint_coeffs[:, indices]
-        priorities = self._priority_hash.values(indices) / PRIME_61
+        hashed = joint_values((self._priority_hash, self._coeff_hash), indices)
+        priorities = hashed[: self.repetitions] / PRIME_61
         counts = count_alive_levels(priorities.reshape(-1), self._thresholds).reshape(
             priorities.shape
         )
         coeffs = 1 + (
-            self._coeff_hash.values(indices) % np.uint64(COEFF_BOUND - 1)
+            hashed[self.repetitions :] % np.uint64(COEFF_BOUND - 1)
         ).astype(np.int64)
         return counts, coeffs
 

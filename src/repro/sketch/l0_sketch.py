@@ -41,6 +41,7 @@ from repro.sketch.kernels import (
     bincount_rows,
     count_alive_levels,
     expand_levels,
+    joint_values,
 )
 from repro.sketch.hashing import PRIME_61
 from repro.sketch.mergeable import LinearStateMixin
@@ -139,12 +140,12 @@ class L0Sketch(LinearStateMixin):
                 self._buckets[indices],
                 self._coefficients[indices],
             )
-        priorities = self._priority_hash.values(indices)[0] / PRIME_61
-        counts = count_alive_levels(priorities, self._thresholds)
-        buckets = self._bucket_hash.buckets(indices, self.k)[0]
-        coefficients = 1 + (
-            self._coeff_hash.values(indices)[0] % np.uint64(COEFF_BOUND - 1)
-        ).astype(np.int64)
+        priority, bucket, coefficient = joint_values(
+            (self._priority_hash, self._bucket_hash, self._coeff_hash), indices
+        )
+        counts = count_alive_levels(priority / PRIME_61, self._thresholds)
+        buckets = (bucket % np.uint64(self.k)).astype(np.int64)
+        coefficients = 1 + (coefficient % np.uint64(COEFF_BOUND - 1)).astype(np.int64)
         return counts, buckets, coefficients
 
     def _randomness_fingerprints(self):

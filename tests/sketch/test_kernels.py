@@ -55,6 +55,15 @@ class TestStackedKWiseHash:
             stacked.signs(keys), np.stack([m.signs(keys) for m in members])
         )
 
+    def test_joint_values_stack_each_hash(self):
+        """One pass over several same-degree hashes, rows in argument order."""
+        rng = np.random.default_rng(34)
+        hashes = (StackedKWiseHash(2, 1, rng), StackedKWiseHash(2, 3, rng))
+        keys = np.array([0, 5, 2**40, PRIME_61 + 3, 2**62 - 1])
+        for some_keys in (keys, keys[:2], keys[:0]):
+            expected = np.concatenate([h.values(some_keys) for h in hashes])
+            assert np.array_equal(kernels.joint_values(hashes, some_keys), expected)
+
     def test_small_and_large_key_paths_agree(self):
         """The < 2^32 fast multiply must be exact, not approximately so."""
         stacked = StackedKWiseHash(4, 3, np.random.default_rng(5))
