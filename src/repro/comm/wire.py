@@ -174,15 +174,18 @@ def encode_array(array: np.ndarray | None) -> bytes:
     # raw bits keeps negative zeros (and NaNs) explicit: a sparse round trip
     # must restore their bits.
     bits = flat.view(f"u{flat.itemsize}") if flat.dtype.kind == "f" else flat
-    index = np.flatnonzero(bits != 0)
-    explicit = flat[index]
-    wire_dtype = _wire_dtype(array.dtype, explicit, index.size < flat.size)
+    is_explicit = bits != 0
+    count = int(np.count_nonzero(is_explicit))
+    # A record with no positive zero always ships dense: skip the gather.
+    index = None if count == flat.size else np.flatnonzero(is_explicit)
+    explicit = flat if index is None else flat[index]
+    wire_dtype = _wire_dtype(array.dtype, explicit, count < flat.size)
 
-    sparse_size = 4 + index.size * (4 + wire_dtype.itemsize)
+    sparse_size = 4 + count * (4 + wire_dtype.itemsize)
     if sparse_size < flat.size * wire_dtype.itemsize and flat.size < 2**32:
         kind = _KIND_SPARSE
         body = (
-            struct.pack("<I", index.size)
+            struct.pack("<I", count)
             + index.astype("<u4").tobytes()
             + explicit.astype(wire_dtype).tobytes()
         )
