@@ -163,3 +163,17 @@ class TestUpdateEqualsMatrixProduct:
         info = np.iinfo(np.int64)
         values = rng.integers(info.min, info.max, size=(50, 2), endpoint=True)
         assert_state_is_matrix_product(sampler, [(rng.integers(0, 64, size=50), values)])
+
+    @pytest.mark.parametrize("mode", ["dense", "hash"])
+    def test_float_values_match_up_to_rounding(self, mode):
+        """Float values are summed in another order than the dense product."""
+        rng = np.random.default_rng(29)
+        sampler = L0Sampler(300, rng, repetitions=4, mode=mode)
+        indices = rng.integers(0, 300, size=200)
+        values = rng.normal(size=(200, 3))
+        acc = sampler.empty_copy()
+        acc.update_many(indices, values)
+        assert acc.state.dtype == np.float64
+        np.testing.assert_allclose(
+            acc.state, sampler.matrix[:, indices] @ values, rtol=1e-12, atol=1e-9
+        )
