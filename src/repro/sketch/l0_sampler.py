@@ -193,16 +193,12 @@ class L0Sampler(LinearStateMixin):
     def _contribution(self, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
         """``T[:, indices] @ values`` without ``T``, as two indicator products.
 
-        Row ``(rep, level)`` of the alive indicator is 1 at batch position
-        ``t`` iff ``level < counts[rep, t]``.  The three measurement rows of
-        that level are the indicator, the indicator times ``indices + 1``
-        and the indicator times the fingerprint coefficients, so one update
-        is ``indicator @ [values | (indices + 1) * values]`` plus
-        ``(indicator * coeffs) @ values``.  Integer products go through
-        :func:`~repro.sketch.kernels.exact_matmul`, whose float64 route is
-        exact and whose int64 route wraps mod ``2^64`` like the dense
-        matmul, so the bytes equal ``T[:, indices] @ values``.  Batches past
-        ``_INDICATOR_BLOCK`` indicator entries are summed block by block.
+        ``indicator[(rep, level), t]`` is 1 iff ``level < counts[rep, t]``.
+        ``indicator @ [values | (indices + 1) * values]`` gives the ``s0``
+        and ``s1`` rows, ``(indicator * coeffs) @ values`` the fingerprints.
+        :func:`~repro.sketch.kernels.exact_matmul` is exact on its float
+        route and wraps mod ``2^64`` on its int64 route, like the dense
+        matmul.  Long batches are summed in blocks of ``_INDICATOR_BLOCK``.
         """
         counts, coeffs = self._batch_randomness(indices)
         dtype = np.int64 if np.issubdtype(values.dtype, np.integer) else np.float64
