@@ -8,7 +8,7 @@ sha256 of ``(makespan, makespan_per_round)`` is pinned for:
 * one-shot ``ClusterEstimator`` queries of four families at k = 8, with
   ``tree`` in {None, ``TreeSpec.flat(names)``, 2};
 * a hash-mode ``StreamingSession`` after three epochs, with ``tree`` in
-  {None, 2}.
+  {None, ``TreeSpec.flat(names)``, 2}.
 
 Two pricing models exist, and both are pinned: a network built without a
 tree prices each round's links in parallel, while any declared tree, the
@@ -109,6 +109,7 @@ ONESHOT_PINS = {
 
 STREAMING_PINS = {
     "fan2": "264f3b78615110cd29f81ce16d690b70cc2ee2d7e179c9eb3a2992b0685fee5a",
+    "flat": "2cddc6bfa2e4a1e42270cf184f10505dec26a92181f59e25673e0672d03605e1",
     "none": "d84907935f43937b2ff6ccab00ea2c2ff9a35fb7935ec81a22bd22e182a93a84",
 }
 
@@ -119,7 +120,7 @@ def test_oneshot_makespan_pinned(query, tree):
     assert oneshot_digest(query, tree) == ONESHOT_PINS[(query, tree)]
 
 
-@pytest.mark.parametrize("tree", ["fan2", "none"])
+@pytest.mark.parametrize("tree", sorted(TREES))
 def test_streaming_makespan_pinned(tree):
     assert streaming_digest(tree) == STREAMING_PINS[tree]
 
@@ -138,6 +139,6 @@ if __name__ == "__main__":  # pragma: no cover - pin regeneration helper
             print(f'    ("{query}", "{tree}"): "{oneshot_digest(query, tree)}",')
     print("}")
     print("STREAMING_PINS = {")
-    for tree in ("fan2", "none"):
+    for tree in sorted(TREES):
         print(f'    "{tree}": "{streaming_digest(tree)}",')
     print("}")

@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from repro import ClusterEstimator
+from repro.comm.conditions import LinkModel, NetworkConditions
 from repro.comm.tree import TreeSpec
+from repro.engine.streaming import StreamingSession
 from repro.matrices import generators
 
 
@@ -135,3 +137,70 @@ class TestStreamingTreeBitIdentity:
                 if edge.startswith("agg-")
             }
             assert agg_bits and all(bits > 0 for bits in agg_bits.values())
+
+    @pytest.mark.parametrize("sketch_mode", ["dense", "hash"])
+    def test_merged_states_match_the_flat_star_byte_for_byte(self, sketch_mode):
+        """The coordinator's merged states and robust per-site slots are
+        the same bytes on every shape, after every boundary and after a
+        late fold, with one deadline straggler in the stream."""
+        k = 8
+        names = [f"site-{i}" for i in range(k)]
+        shapes = {
+            "flat": None,
+            "fan-2": 2,
+            "nested": TreeSpec.from_grouping(
+                names, [[0, [1, 2]], 3, [4, [5, 6], 7]]
+            ),
+        }
+        conditions = NetworkConditions(
+            LinkModel(latency=0.01),
+            overrides={"site-5": LinkModel(latency=1.0)},
+            deadline=0.5,
+        )
+        b = np.random.default_rng(3).integers(0, 3, size=(16, 12))
+        sessions = {
+            shape: StreamingSession(
+                [4] * k,
+                b,
+                seed=19,
+                sketch_mode=sketch_mode,
+                conditions=conditions,
+                robust=1,
+                tree=tree,
+            )
+            for shape, tree in shapes.items()
+        }
+
+        def snapshot(session):
+            def state(sketch):
+                array = sketch.state_array()
+                return None if array is None else array.tobytes()
+
+            return (
+                {key: state(sketch) for key, sketch in session.merged.items()},
+                [
+                    {key: state(sketch) for key, sketch in slot.items()}
+                    for slot in session.site_merged
+                ],
+            )
+
+        def assert_same_bytes(when):
+            flat = snapshot(sessions["flat"])
+            assert flat[0]["ams"] is not None
+            for shape in ("fan-2", "nested"):
+                assert snapshot(sessions[shape]) == flat, f"{shape} {when}"
+
+        rng = np.random.default_rng(41)
+        for epoch in range(4):
+            for index in rng.choice(k, size=5, replace=False).tolist() + [5]:
+                rows = 4 * index + rng.choice(4, size=2, replace=False)
+                deltas = rng.integers(-3, 4, size=(2, b.shape[0]))
+                for session in sessions.values():
+                    session.ingest(index, rows, deltas)
+            reports = [session.end_epoch() for session in sessions.values()]
+            assert all(report.late == ["site-5"] for report in reports)
+            assert_same_bytes(f"after end_epoch {epoch + 1}")
+            if epoch % 2:
+                for session in sessions.values():
+                    assert session.collect_late()["site-5"] > 0
+                assert_same_bytes(f"after collect_late {epoch + 1}")
