@@ -126,7 +126,9 @@ class EpochReport:
     so it is queued — not merged, not metered — until it arrives.
     ``late_merged`` lists the earlier stragglers whose queued uploads were
     folded into the live summaries at this boundary (their bytes are
-    metered here, labelled ``stream/late-delta``).  ``quorum_met`` is
+    metered here, labelled ``stream/late-delta``); bytes that
+    :meth:`StreamingSession.collect_late` folded since the previous
+    boundary count toward ``upload_bytes`` here too.  ``quorum_met`` is
     ``False`` when a quorum policy is active and fewer than ``n - f`` sites
     were connected and on time.
     """
@@ -328,6 +330,8 @@ class StreamingSession(EstimatorBase):
         self._faults = conditions.faults if conditions is not None else None
         #: Straggler uploads awaiting arrival: (site name, wire payload).
         self._late_queue: list[tuple[str, bytes]] = []
+        #: Bytes folded by :meth:`collect_late`, credited to the next report.
+        self._collected_bytes: dict[str, int] = {}
         self._dropped: set[int] = set()  # seeded from conditions.dropped below
         row_counts = [int(count) for count in row_counts]
         if not row_counts or any(count < 0 for count in row_counts):
@@ -551,6 +555,8 @@ class StreamingSession(EstimatorBase):
         could never ship them and would only misreport connectivity.
         """
         self._check_open("restore a site")
+        if not 0 <= site < len(self.sites):
+            raise ValueError(f"site index {site} out of range [0, {len(self.sites)})")
         self._dropped.discard(site)
 
     @property
@@ -654,7 +660,8 @@ class StreamingSession(EstimatorBase):
             decisions.append(wants_to_ship)
 
         self.epoch += 1
-        report = EpochReport(epoch=self.epoch)
+        report = EpochReport(epoch=self.epoch, upload_bytes=self._collected_bytes)
+        self._collected_bytes = {}
         # Straggler uploads from earlier boundaries arrive now: fold them in
         # before this epoch's own ships (arrival order, then site order).
         self._fold_late(report)
@@ -830,9 +837,10 @@ class StreamingSession(EstimatorBase):
         """Merge every queued straggler upload into the live summaries.
 
         Decodes the queued wire payloads (the codec round-trips states
-        exactly, so a late fold is bit-identical to an on-time merge),
-        meters the arrival under ``stream/late-delta`` and credits the
-        bytes to ``report`` when one is given.
+        exactly, so a late fold is bit-identical to an on-time merge) and
+        meters the arrival under ``stream/late-delta``.  A fold at a
+        boundary is listed in ``report.late_merged``; its bytes go to
+        ``report``, or without one to the next boundary's report.
         """
         folded: list[tuple[str, int]] = []
         if not self._late_queue:
@@ -850,9 +858,8 @@ class StreamingSession(EstimatorBase):
                 )
             if report is not None:
                 report.late_merged.append(name)
-                report.upload_bytes[name] = (
-                    report.upload_bytes.get(name, 0) + len(payload)
-                )
+            credit = self._collected_bytes if report is None else report.upload_bytes
+            credit[name] = credit.get(name, 0) + len(payload)
             folded.append((name, len(payload)))
         self._late_queue.clear()
         return folded
@@ -863,6 +870,8 @@ class StreamingSession(EstimatorBase):
         The automatic fold happens at the next epoch boundary; this is the
         explicit arrival point for callers that need the stragglers' state
         without closing another epoch (e.g. before a final live query).
+        The folded bytes count toward the next :class:`EpochReport`'s
+        ``upload_bytes``, though its ``late_merged`` does not list them.
         Returns ``{site name: folded payload bytes}``; empty when nothing
         was queued.
         """

@@ -253,6 +253,32 @@ class TestStreamingLateMerge:
             phi=0.3
         )
 
+    def test_collected_bytes_reach_the_next_report(self):
+        """A fold made by ``collect_late()`` is credited to the next
+        report's bytes, so the history adds up to what the sites shipped,
+        while ``late_merged`` keeps listing boundary folds only."""
+        shards, b = _data()
+        conditions = NetworkConditions(
+            LinkModel(latency=0.01),
+            overrides={"site-1": LinkModel(latency=1.0)},
+            deadline=0.5,
+        )
+        session = ClusterEstimator(shards[:3], b, seed=SEED).stream(
+            conditions=conditions, sketch_mode="hash"
+        )
+        for index, rows, deltas in _batches(shards[:3]):
+            session.ingest(index, rows, deltas)
+        assert session.end_epoch().late == ["site-1"]
+        folded = session.collect_late()["site-1"]
+        report = session.end_epoch()
+        assert report.late_merged == []
+        assert report.upload_bytes["site-1"] == folded
+        assert (
+            session.history[-1].cumulative_bytes
+            == session.total_upload_bytes
+            == sum(r.total_bytes for r in session.history)
+        )
+
     def test_quorum_met_tracks_on_time_shippers(self):
         shards, b = _data()
         met = ClusterEstimator(shards, b, seed=SEED).stream(

@@ -335,6 +335,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="range"):
             session.ingest(0, [offset], np.ones((1, b.shape[0]), dtype=np.int64))
 
+    @pytest.mark.parametrize("site", [-1, 3, 99])
+    def test_drop_and_restore_reject_the_same_indices(self, binary_pair, site):
+        a, b = binary_pair
+        session = ClusterEstimator.from_matrix(a, b, 3, seed=61).stream()
+        with pytest.raises(ValueError, match="out of range"):
+            session.drop_site(site)
+        with pytest.raises(ValueError, match="out of range"):
+            session.restore_site(site)
+        assert session.dropped_sites == []
+
     def test_preload_refuses_non_integral_shards(self):
         """Preload must not silently truncate fractional shards to integers."""
         cluster = ClusterEstimator(
