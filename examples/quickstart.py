@@ -74,7 +74,7 @@ def main() -> None:
     # --- runtime conditions: a k-site run under simulated WAN links ---------
     # Same protocols, same bits — but the star's links now carry 10 ms of
     # latency at 1 Mbit/s, so the cost report gains a simulated makespan
-    # (critical path over rounds, links transferring in parallel).
+    # (critical path over rounds, the hub draining uploads back to back).
     from repro import ClusterEstimator
     from repro.comm import LinkModel, NetworkConditions
 

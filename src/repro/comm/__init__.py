@@ -19,8 +19,6 @@ k-site generalization:
 * :class:`repro.comm.network.Network` — the one in-process network (k
   sites around a coordinator, routed over the flat star or an aggregation
   :class:`~repro.comm.tree.TreeSpec`) with per-edge and aggregate meters.
-  Built without a ``tree=`` it prices makespans with links in parallel,
-  with one (the flat spec included) with serialized fan-in.
   ``TreeNetwork`` is another name for the same class.
 * :mod:`repro.comm.protocol` — the :class:`~repro.comm.protocol.CostReport`
   / :class:`~repro.comm.protocol.ProtocolResult` containers the two-party
@@ -28,7 +26,9 @@ k-site generalization:
 * :mod:`repro.comm.conditions` — per-link latency/bandwidth/jitter models
   (:class:`repro.comm.conditions.LinkModel` /
   :class:`repro.comm.conditions.NetworkConditions`) that price a recorded
-  transcript into a simulated makespan.
+  transcript into a simulated makespan, one model for every shape: fan-in
+  serializes per receiver, so the flat star's root drains k uploads back
+  to back.
 """
 
 from repro.comm.accounting import Message, MessageLog

@@ -2,35 +2,30 @@
 
 The metered transports count *bits* and *rounds* exactly; this module turns
 those meters into an end-to-end **time** estimate.  A :class:`LinkModel`
-describes one coordinator-site link (fixed per-round latency, finite
-bandwidth, optional seeded jitter); :class:`NetworkConditions` assigns a
-model to every link of a star (one default plus per-site overrides) and
-also carries the *fault scenario* — which sites are declared dropped — so
-a whole experimental condition travels as one object.
+describes one link (fixed per-round latency, finite bandwidth, optional
+seeded jitter); :class:`NetworkConditions` assigns a model to every edge of
+a network (one default, per-endpoint overrides and per-region models for
+aggregation trees) and also carries the *fault scenario* — which sites are
+declared dropped — so a whole experimental condition travels as one object.
 
-Makespan models
----------------
-Two models exist; :meth:`repro.comm.network.Network.simulate` picks
-:func:`simulate_makespan` for a network built without a ``tree=`` and
-:func:`simulate_tree_makespan` for one built with any spec, the flat star
-included.  Under finite bandwidth they price the same flat transcript
-differently (the tree model serializes the root's fan-in).
+Makespan model
+--------------
+:func:`simulate_tree_makespan` prices every network; the flat star is the
+depth-1 tree.  Per round, the messages of one edge form a single burst (one
+latency hit).  A receiver's ingress is serialized — propagation overlaps,
+payload drain does not — so one coordinator NIC drains k uploads back to
+back.  Receivers at the same depth work in parallel, levels are sequential,
+and round ``r+1`` cannot start before round ``r`` has delivered, so the
+simulated makespan is the critical path over rounds::
 
-Under :func:`simulate_makespan` links transfer **in parallel**, and the
-round structure of the message log is exactly the synchronization structure
-of the protocol: all messages of one round could be in flight
-simultaneously, but round ``r+1`` cannot start before every link of round
-``r`` has delivered (the hub needs the uploads before it can reply, and
-vice versa).  So the simulated
-makespan is the critical path over rounds::
+    makespan = sum over rounds r, over depths d of
+               max over receivers v at depth d of
+                   max over edges e into v of (latency_e + jitter_e(r))
+                   + sum over edges e into v of bits_{e,r} / bandwidth_e
 
-    makespan = sum over rounds r of  max over links s active in r of
-               latency_s + jitter_s(r) + bits_{s,r} / bandwidth_s
-
-Messages on the same link in the same round share one latency hit (they
-form a single burst).  Jitter is drawn deterministically per (site, round)
-from a seeded stream, so a given ``NetworkConditions`` object prices a
-given transcript identically every time it is asked.
+Jitter is drawn deterministically per (endpoint, round) from a seeded
+stream, so a given ``NetworkConditions`` object prices a given transcript
+identically every time it is asked.
 
 With the default (ideal) conditions every link has zero latency and
 infinite bandwidth, so the makespan of every existing transcript is 0.0
@@ -53,14 +48,13 @@ __all__ = [
     "IDEAL_LINK",
     "LinkModel",
     "NetworkConditions",
-    "simulate_makespan",
     "simulate_tree_makespan",
 ]
 
 
 @dataclass(frozen=True)
 class LinkModel:
-    """Timing model of one coordinator-site link.
+    """Timing model of one network edge.
 
     Parameters
     ----------
@@ -87,12 +81,6 @@ class LinkModel:
         if self.jitter < 0 or math.isnan(self.jitter):
             raise ValueError(f"jitter must be >= 0, got {self.jitter}")
 
-    def transfer_seconds(self, bits: int) -> float:
-        """Seconds to push ``bits`` through this link in one round (no jitter)."""
-        if math.isinf(self.bandwidth):
-            return self.latency
-        return self.latency + bits / self.bandwidth
-
 
 #: The default: zero latency, infinite bandwidth, no jitter — makespan 0.
 IDEAL_LINK = LinkModel()
@@ -106,7 +94,8 @@ class NetworkConditions:
     default:
         The :class:`LinkModel` of every link without an override.
     overrides:
-        Per-site link models, keyed by site name (e.g. one straggler).
+        Per-edge link models, keyed by the edge's child endpoint: a site
+        (e.g. one straggler) or an aggregator.
     dropped:
         Site names declared *dropped* for this condition.  The transports
         themselves never consult this — dropout is a protocol-level policy
@@ -157,10 +146,6 @@ class NetworkConditions:
         self.faults = faults
         self.regions = dict(regions or {})
 
-    def link(self, site_name: str) -> LinkModel:
-        """The model governing one coordinator-site link."""
-        return self.overrides.get(site_name, self.default)
-
     def edge_link(self, child_name: str, ancestors: Sequence[str] = ()) -> LinkModel:
         """The model governing one tree edge (keyed by its child endpoint).
 
@@ -178,20 +163,13 @@ class NetworkConditions:
                     return self.regions[region]
         return self.default
 
-    def link_seconds(self, site_name: str, round_index: int, bits: int) -> float:
-        """Time for one link's burst in one round, jitter included.
-
-        Jitter is a pure function of ``(jitter_seed, site_name,
-        round_index)``, so re-pricing the same transcript with the same
-        conditions always yields the same makespan.
-        """
-        model = self.link(site_name)
-        return model.transfer_seconds(bits) + self.jitter_seconds(
-            site_name, round_index, model
-        )
-
     def jitter_seconds(self, name: str, round_index: int, model: LinkModel) -> float:
-        """The deterministic jitter draw for one (endpoint, round) burst."""
+        """The deterministic jitter draw for one (endpoint, round) burst.
+
+        A pure function of ``(jitter_seed, name, round_index)``, so
+        re-pricing the same transcript with the same conditions always
+        yields the same makespan.
+        """
         if model.jitter <= 0:
             return 0.0
         entropy = [self.jitter_seed, zlib.crc32(name.encode()), round_index]
@@ -238,50 +216,16 @@ class NetworkConditions:
         return f"NetworkConditions({', '.join(parts)})"
 
 
-def simulate_makespan(
-    rounds: Mapping[int, Iterable[Message]],
-    conditions: NetworkConditions,
-    coordinator_name: str,
-) -> tuple[float, dict[int, float]]:
-    """Price a recorded transcript under the given conditions.
-
-    ``rounds`` is the round grouping a :class:`repro.comm.accounting
-    .MessageLog` exposes via :meth:`~repro.comm.accounting.MessageLog
-    .per_round`: per round, its cells, each the summed bits of one
-    ``(sender, receiver, label)``.  Returns ``(total makespan seconds,
-    per-round makespans)``.  Each cell is attributed to its
-    coordinator-site link (the non-hub endpoint) and a link's cells sum to
-    its burst; per round, link bursts transfer in parallel, so the round's
-    time is the maximum over its active links, and rounds are sequential.
-    """
-    per_round: dict[int, float] = {}
-    for round_index, messages in sorted(rounds.items()):
-        link_bits: dict[str, int] = {}
-        for message in messages:
-            site = (
-                message.receiver
-                if message.sender == coordinator_name
-                else message.sender
-            )
-            link_bits[site] = link_bits.get(site, 0) + message.bits
-        per_round[round_index] = max(
-            conditions.link_seconds(site, round_index, bits)
-            for site, bits in link_bits.items()
-        )
-    return sum(per_round.values()), per_round
-
-
 def simulate_tree_makespan(
     rounds: Mapping[int, Iterable[Message]],
     conditions: NetworkConditions,
     tree: TreeSpec,
 ) -> tuple[float, dict[int, float]]:
-    """Price a *tree* transcript: multi-level critical path, serialized fan-in.
+    """Price a transcript: multi-level critical path, serialized fan-in.
 
-    This is deliberately a different pricing model from the flat-star
-    :func:`simulate_makespan` (whose parallel-links semantics are pinned by
-    the existing experiments and stay untouched).  A tree transcript is
-    priced the way a hierarchy actually drains:
+    The one pricing model of every network (the flat star is the depth-1
+    ``tree``), returning ``(total makespan seconds, per-round makespans)``.
+    A transcript is priced the way a hierarchy actually drains:
 
     * ``rounds`` is :meth:`~repro.comm.accounting.MessageLog.per_round`'s
       grouping: per round, its cells, each the summed bits of one
@@ -302,9 +246,9 @@ def simulate_tree_makespan(
       so the round's time is the sum over depths of the slowest receiver
       at that depth.
 
-    Pricing a depth-1 :class:`~repro.comm.tree.TreeSpec` under this model
-    is the honest "flat star" baseline the scaling experiments compare
-    against: all k uploads serialize into the root.
+    On the depth-1 :class:`~repro.comm.tree.TreeSpec` — the flat star —
+    all k uploads serialize into the root, while each site receives its
+    downstream burst in parallel with the others.
     """
     per_round: dict[int, float] = {}
     for round_index, messages in sorted(rounds.items()):

@@ -37,20 +37,13 @@ meters' memory does not grow with the traffic they meter):
   drain in O(1) too.
 
 A network optionally carries :class:`repro.comm.conditions
-.NetworkConditions` (per-link latency/bandwidth/jitter models); the
+.NetworkConditions` (per-edge latency/bandwidth/jitter models); the
 recorded transcript is then priced into a simulated **makespan** via
-:meth:`Network.simulate`.  Two models exist, chosen by how the network was
-built:
-
-* without a ``tree=``, :func:`~repro.comm.conditions.simulate_makespan`:
-  per round, the links transfer in parallel and the slowest gates it;
-* with any ``tree=``, the flat spec included,
-  :func:`~repro.comm.conditions.simulate_tree_makespan`: fan-in serializes
-  per receiver, and levels are sequential.
-
-Under finite bandwidth the two price the same flat transcript differently.
-Under the default ideal conditions both report zeros and nothing about the
-bit/round meters changes.
+:meth:`Network.simulate`, with one model for every shape
+(:func:`~repro.comm.conditions.simulate_tree_makespan`): fan-in serializes
+per receiver and levels are sequential, so the flat star's root drains its
+k uploads back to back.  Under the default ideal conditions the makespan
+is zero and nothing about the bit/round meters changes.
 """
 
 from __future__ import annotations
@@ -62,11 +55,7 @@ import numpy as np
 
 from repro.comm import bitcost
 from repro.comm.accounting import MessageLog
-from repro.comm.conditions import (
-    NetworkConditions,
-    simulate_makespan,
-    simulate_tree_makespan,
-)
+from repro.comm.conditions import NetworkConditions, simulate_tree_makespan
 from repro.comm.tree import TreeSpec
 
 #: Direction keys for the aggregate round counter.
@@ -154,8 +143,8 @@ class Network:
     tree:
         Optional :class:`~repro.comm.tree.TreeSpec` whose leaves are
         exactly ``site_names`` (in order) and whose root is
-        ``coordinator_name``.  ``None`` routes over ``TreeSpec.flat`` and
-        keeps the parallel-links makespan model (see the module docstring).
+        ``coordinator_name``.  ``None`` routes over ``TreeSpec.flat``,
+        which meters and prices exactly like passing that spec.
     merge_runtime:
         Optionally fans each drain level's merge groups through a
         :class:`repro.engine.runtime.Runtime` executor (serial by default);
@@ -186,8 +175,6 @@ class Network:
         self.tree = tree if tree is not None else TreeSpec.flat(
             site_names, root=coordinator_name
         )
-        # The one place the two makespan models differ (see simulate).
-        self._serialized_fan_in = tree is not None
         self.conditions = conditions if conditions is not None else NetworkConditions()
         self._validate_conditions()
         self._site_set = set(site_names)
@@ -441,10 +428,10 @@ class Network:
         self._drain()
         return self.log.bits_per_round()
 
-    def link(self, site_name: str) -> MessageLog:
+    def link(self, child: str) -> MessageLog:
         """The per-edge meter keyed by one child endpoint."""
         self._drain()
-        return self.links[site_name]
+        return self.links[child]
 
     def link_bits(self) -> dict[str, int]:
         """Per-edge load: total bits on each edge, keyed by its child."""
@@ -474,26 +461,17 @@ class Network:
     def simulate(self) -> tuple[float, dict[int, float]]:
         """Price the recorded transcript: ``(makespan, per-round makespans)``.
 
-        Rounds are sequential.  A network built without a ``tree=`` prices
-        each round's link bursts in parallel, the slowest link gating the
-        round (:func:`~repro.comm.conditions.simulate_makespan`); one built
-        with any spec, the flat one included, serializes fan-in per
-        receiver and runs levels sequentially
-        (:func:`~repro.comm.conditions.simulate_tree_makespan`).  Ideal
-        conditions price every transcript at 0.0 seconds (per round too)
-        without running the simulation.  Cost reports call this once and
-        read both values.
+        Rounds are sequential; within one, fan-in serializes per receiver
+        and levels run one after another
+        (:func:`~repro.comm.conditions.simulate_tree_makespan`, the flat
+        star included).  Ideal conditions price every transcript at 0.0
+        seconds (per round too) without running the simulation.  Cost
+        reports call this once and read both values.
         """
         self._drain()
         if self.conditions.is_ideal():
             return 0.0, {round_index: 0.0 for round_index in self.log.bits_per_round()}
-        if self._serialized_fan_in:
-            return simulate_tree_makespan(
-                self.log.per_round(), self.conditions, self.tree
-            )
-        return simulate_makespan(
-            self.log.per_round(), self.conditions, self.coordinator_name
-        )
+        return simulate_tree_makespan(self.log.per_round(), self.conditions, self.tree)
 
     def makespan(self) -> float:
         """Simulated end-to-end seconds of the recorded transcript."""

@@ -54,7 +54,7 @@ class ClusterCostReport:
     latency and per-round synchronization do too — which is what the
     simulated ``makespan`` measures: the critical-path seconds over rounds
     under the network's :class:`~repro.comm.conditions.NetworkConditions`
-    (links in parallel without a tree, serialized fan-in with one; see
+    (fan-in serialized per receiver, the flat star included; see
     :meth:`repro.comm.network.Network.simulate`).  ``makespan_per_round``
     aligns with ``per_round`` (same 1-based round keys); both are zero
     under the default ideal links.

@@ -91,8 +91,9 @@ def run(
         )
     bits_invariant = all(row["bits"] == baseline_bits for row in rows)
     rounds = rows[0]["rounds"]
-    # One latency hit per round, links in parallel: the sweep grows by
-    # exactly rounds * delta-latency on a uniform-link star.
+    # One latency hit per round (propagation overlaps at the hub, only the
+    # drain serializes): the sweep grows by exactly rounds * delta-latency
+    # on a uniform-link star.
     latency_slope_ok = all(
         abs(
             (sweep_makespans[i] - sweep_makespans[0])

@@ -14,9 +14,8 @@ without touching a line of protocol code:
     frame, so the payload bytes physically travel site -> server and are
     counted off the server's socket.  Every payload crossing is
     digest-checked, so a transport that corrupted or dropped a single byte
-    fails loudly.  The makespan model follows the in-process network's
-    rule: links in parallel without a ``tree=``, serialized fan-in with
-    one.
+    fails loudly.  Makespans are priced by the in-process network's one
+    model: fan-in serialized per receiver, the flat star included.
 
     The network keeps **three** independent meters:
 

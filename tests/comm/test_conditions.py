@@ -18,20 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.comm import LinkModel, Network, NetworkConditions
-from repro.comm.conditions import IDEAL_LINK, simulate_makespan
+from repro.comm.conditions import simulate_tree_makespan
 
 
 class TestLinkModel:
-    def test_ideal_is_free(self):
-        assert IDEAL_LINK.transfer_seconds(10**9) == 0.0
-
-    def test_latency_plus_serialization(self):
-        model = LinkModel(latency=0.5, bandwidth=100.0)
-        assert model.transfer_seconds(200) == pytest.approx(0.5 + 2.0)
-
-    def test_infinite_bandwidth_charges_latency_only(self):
-        assert LinkModel(latency=0.25).transfer_seconds(10**12) == 0.25
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -51,8 +41,8 @@ class TestNetworkConditions:
     def test_override_takes_precedence(self):
         slow = LinkModel(latency=9.0)
         conditions = NetworkConditions(LinkModel(), overrides={"site-1": slow})
-        assert conditions.link("site-0") is conditions.default
-        assert conditions.link("site-1") is slow
+        assert conditions.edge_link("site-0") is conditions.default
+        assert conditions.edge_link("site-1") is slow
 
     def test_ideal_detection(self):
         assert NetworkConditions().is_ideal()
@@ -80,18 +70,20 @@ class TestNetworkConditions:
 
     def test_jitter_is_deterministic_per_conditions(self):
         conditions = NetworkConditions(LinkModel(jitter=0.5), jitter_seed=7)
-        first = conditions.link_seconds("site-0", 1, 100)
-        assert conditions.link_seconds("site-0", 1, 100) == first
+        model = conditions.default
+        first = conditions.jitter_seconds("site-0", 1, model)
+        assert conditions.jitter_seconds("site-0", 1, model) == first
         assert 0.0 <= first <= 0.5
 
     def test_jitter_varies_with_seed_site_and_round(self):
         base = NetworkConditions(LinkModel(jitter=0.5), jitter_seed=7)
         other_seed = NetworkConditions(LinkModel(jitter=0.5), jitter_seed=8)
+        model = base.default
         draws = {
-            base.link_seconds("site-0", 1, 0),
-            base.link_seconds("site-0", 2, 0),
-            base.link_seconds("site-1", 1, 0),
-            other_seed.link_seconds("site-0", 1, 0),
+            base.jitter_seconds("site-0", 1, model),
+            base.jitter_seconds("site-0", 2, model),
+            base.jitter_seconds("site-1", 1, model),
+            other_seed.jitter_seconds("site-0", 1, model),
         }
         assert len(draws) == 4  # all distinct with overwhelming probability
 
@@ -112,10 +104,11 @@ class TestNetworkMakespan:
     def test_critical_path_over_rounds(self):
         conditions = NetworkConditions(LinkModel(latency=1.0, bandwidth=10.0))
         network = self.scripted_network(conditions)
-        # Round 1: links transfer in parallel -> max(1 + 4, 1 + 2) = 5.
+        # Round 1: both uploads drain into the hub back to back, their
+        # latencies overlap -> 1 + 4 + 2 = 7.
         # Round 2: only link a active -> 1 + 1 = 2.
-        assert network.makespan_per_round() == {1: pytest.approx(5.0), 2: pytest.approx(2.0)}
-        assert network.makespan() == pytest.approx(7.0)
+        assert network.makespan_per_round() == {1: pytest.approx(7.0), 2: pytest.approx(2.0)}
+        assert network.makespan() == pytest.approx(9.0)
 
     def test_straggler_override_dominates(self):
         conditions = NetworkConditions(
@@ -189,8 +182,8 @@ def test_makespan_dominates_busiest_link(schedule, model, jitter_seed):
     # Deterministic re-pricing, jitter included.
     assert network.makespan() == makespan
     # The simulation is a pure function of (round grouping, conditions).
-    total, per_round = simulate_makespan(
-        network.log.per_round(), conditions, network.coordinator_name
+    total, per_round = simulate_tree_makespan(
+        network.log.per_round(), conditions, network.tree
     )
     assert total == makespan
     assert sum(per_round.values()) == pytest.approx(total)

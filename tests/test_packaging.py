@@ -10,6 +10,7 @@ from functools import partial
 import pytest
 
 import repro
+from repro.comm.conditions import LinkModel, NetworkConditions
 from repro.engine.runtime import Runtime
 from repro.sketch import _native
 from repro.sketch.countsketch import CountSketch
@@ -65,6 +66,7 @@ REMOVED = [
         ("repro.service", "RemoteTreeNetwork"),
         ("repro.engine.runtime", "ResidentPool"),
         ("repro.engine.runtime", "WorkerCrashedError"),
+        ("repro.comm.conditions", "simulate_makespan"),
     )
 ] + [
     # Resident mode's runtime methods and the sketches' shared-memory hooks.
@@ -80,6 +82,10 @@ REMOVED = [
         (LinearStateMixin, "unpin_state_buffer"),
         (CountSketch, "pin_table_buffer"),
         (CountSketch, "unpin_table_buffer"),
+        # The parallel-links makespan model and its per-link helpers.
+        (NetworkConditions, "link"),
+        (NetworkConditions, "link_seconds"),
+        (LinkModel, "transfer_seconds"),
     )
 ] + [
     pytest.param(partial(_native.set_backend, "numba"), ValueError, id="set_backend-numba"),
