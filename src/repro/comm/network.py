@@ -309,9 +309,10 @@ class Network:
         """Record one upstream burst on a single edge, without staging.
 
         The streaming session uses this to ship *its own* aggregator-merged
-        epoch deltas hop by hop (it re-encodes merged states and knows the
-        exact wire bytes of every hop, so the generic staging above would
-        be wrong for it).  On a flat network a site's hop is its whole
+        epoch deltas hop by hop (it merges its delta bundles up the tree
+        itself and encodes each aggregator's merged bundle once, so it knows
+        the exact wire bytes of every hop and the generic staging above
+        would be wrong for it).  On a flat network a site's hop is its whole
         upload, metered exactly as :meth:`send` would.
         """
         if child not in self.links:

@@ -147,6 +147,14 @@ class EpochReport:
     throttled: bool = False
 
 
+def _merge_bundle(
+    target: dict[str, MergeableSketch], bundle: dict[str, MergeableSketch]
+) -> None:
+    """Merge every family of one delta bundle into ``target``'s sketches."""
+    for key in FAMILIES:
+        target[key].merge(bundle[key])
+
+
 class _SiteStream:
     """One site's streaming state: accumulated shard + pending sketch deltas."""
 
@@ -634,12 +642,13 @@ class StreamingSession(EstimatorBase):
         and the identity is restored by the first sync after every site is
         back.
 
-        Delta serialization runs *off the critical path*: it is dispatched
-        asynchronously through the session's runtime and joined only after
-        the coordinator has merged every shipping delta straight from the
-        pending sketch states, with no decode step.  Merges and sends stay
-        serial in site order, so the shipped bytes and the merged summaries
-        are executor-invariant, byte for byte.
+        The sites' delta serialization is dispatched asynchronously through
+        the session's runtime and joined only after one bottom-up merge pass
+        (:meth:`_ship_aggregated`) has carried the on-time deltas from the
+        pending sketch states up the tree into the coordinator's summaries,
+        with no decode step.  Merges and sends stay serial in a fixed order,
+        so the shipped bytes and the merged summaries are
+        executor-invariant, byte for byte.
         """
         self._check_open("close an epoch")
         # Decide (and possibly fail) before any state mutates, so a raised
@@ -690,6 +699,7 @@ class StreamingSession(EstimatorBase):
             report.quorum_met = on_time >= self.quorum.required(len(self.sites))
 
         payload_of: dict[str, bytes] = {}
+        relays: list[tuple[str, bytes]] = []
         if shipping:
             runtime = self.runtime if self.runtime is not None else SERIAL_RUNTIME
             # A FaultPlan corrupts the named sites' *uploads* — the state
@@ -708,12 +718,12 @@ class StreamingSession(EstimatorBase):
                 serialize_deltas, [(uploads[site.name],) for site in shipping]
             )
             # The pending sketches *are* the deltas the wire would carry
-            # (the codec round-trips states exactly), so merge them
-            # directly while the encoders run; ``mark_shipped`` resets
-            # them only after the join, below.
-            for site in shipping:
-                if site.name not in late_now:
-                    self._merge_delta(site.index, uploads[site.name])
+            # (the codec round-trips states exactly), so merge them up the
+            # tree while the encoders run; ``mark_shipped`` resets them
+            # only after the join, below.
+            relays = self._ship_aggregated(
+                [site for site in shipping if site.name not in late_now], uploads
+            )
             payload_of = {
                 site.name: payload for site, payload in zip(shipping, join())
             }
@@ -739,16 +749,18 @@ class StreamingSession(EstimatorBase):
         # transcripts are unchanged.
         for site, payload in on_time:
             # First hop of the route: leaf -> its parent (the coordinator on
-            # a flat network).  The aggregator relays (one merged bundle per
-            # interior edge) are recorded right after the leaf loop.
+            # a flat network).
             self.network.upstream_hop(
                 site.name, payload, label=DELTA_LABEL, bits=wire.payload_bits(payload)
             )
             report.upload_bytes[site.name] = (
                 report.upload_bytes.get(site.name, 0) + len(payload)
             )
-        if on_time and self.network.tree.aggregators:
-            self._ship_aggregated(on_time)
+        # Then the aggregator relays, one merged bundle per interior edge.
+        for agg, payload in relays:
+            self.network.upstream_hop(
+                agg, payload, label=DELTA_LABEL, bits=wire.payload_bits(payload)
+            )
         report.total_bytes = sum(report.upload_bytes.values())
         report.cumulative_bytes = (self.history[-1].cumulative_bytes if self.history else 0)
         report.cumulative_bytes += report.total_bytes
@@ -761,24 +773,31 @@ class StreamingSession(EstimatorBase):
             site_name, self.network.tree.ancestors(site_name)
         ).latency
 
-    def _ship_aggregated(self, on_time: "list[tuple[_SiteStream, bytes]]") -> None:
-        """Relay partially merged delta bundles up the aggregation tree.
+    def _ship_aggregated(
+        self,
+        on_time: "list[_SiteStream]",
+        uploads: dict[str, dict[str, MergeableSketch]],
+    ) -> list[tuple[str, bytes]]:
+        """Merge the on-time delta bundles up the tree in one bottom-up pass.
 
-        Bottom-up, every aggregator with at least one on-time shipping
-        descendant merges its children's bundles — decoded from the very
-        wire payloads the leaves shipped, and the codec round-trips the
-        exact integer states, so the merge is associative bit for bit —
-        and forwards ONE re-encoded bundle to its parent.  The root's
-        wire ingress is therefore fan-out-many payloads instead of k.
-        The coordinator's summaries were already merged from the per-site
-        bundles (preserving the robust per-site slots); this loop records
-        the metering truth of every interior edge.
+        Deepest first, every aggregator with an on-time descendant merges
+        its children's bundles and encodes the result once; the returned
+        ``(aggregator, payload)`` relays, in that order, are what each
+        interior edge forwards, so the root's wire ingress is
+        fan-out-many payloads instead of k.  The root merges its own
+        children's bundles — on the flat star, the sites' in site order —
+        into the coordinator's summaries.  Nothing is decoded: the bundles
+        are the states the wire carries, and exact integer states merge to
+        the same bytes in any grouping (a FaultPlan's fractional corruption
+        is summed in the tree's grouping instead).  In robust mode each
+        site's bundle also goes to that site's cumulative slot.
         """
         tree = self.network.tree
-        bundles = {
-            site.name: deserialize_deltas(self.templates, payload)
-            for site, payload in on_time
-        }
+        bundles = {site.name: uploads[site.name] for site in on_time}
+        if self.site_merged is not None:
+            for site in on_time:
+                _merge_bundle(self.site_merged[site.index], bundles[site.name])
+        relays: list[tuple[str, bytes]] = []
         # Deepest aggregators first (stable on tree.aggregators' top-down
         # order), so a parent sees its child aggregators' merged bundles.
         for agg in sorted(tree.aggregators, key=tree.node_depth, reverse=True):
@@ -791,27 +810,15 @@ class StreamingSession(EstimatorBase):
                 continue
             merged = parts[0]
             if len(parts) > 1:
-                merged = {
-                    key: self.templates[key].empty_copy() for key in FAMILIES
-                }
+                merged = {key: self.templates[key].empty_copy() for key in FAMILIES}
                 for part in parts:
-                    for key in FAMILIES:
-                        merged[key].merge(part[key])
-            payload = serialize_deltas(merged)
-            self.network.upstream_hop(
-                agg, payload, label=DELTA_LABEL, bits=wire.payload_bits(payload)
-            )
+                    _merge_bundle(merged, part)
+            relays.append((agg, serialize_deltas(merged)))
             bundles[agg] = merged
-
-    def _merge_delta(
-        self, site_index: int, delta: dict[str, MergeableSketch]
-    ) -> None:
-        """Fold one site's delta bundle into the coordinator's summaries
-        (and, in robust mode, into that site's cumulative slot)."""
-        for key in FAMILIES:
-            self.merged[key].merge(delta[key])
-            if self.site_merged is not None:
-                self.site_merged[site_index][key].merge(delta[key])
+        for child in tree.children[tree.root]:
+            if child in bundles:
+                _merge_bundle(self.merged, bundles[child])
+        return relays
 
     def _corrupt_pending(self, site: "_SiteStream") -> dict[str, MergeableSketch]:
         """One corrupt site's upload: its pending states through the plan.
@@ -848,7 +855,9 @@ class StreamingSession(EstimatorBase):
         index_of = {site.name: site.index for site in self.sites}
         for name, payload in self._late_queue:
             deltas = deserialize_deltas(self.templates, payload)
-            self._merge_delta(index_of[name], deltas)
+            _merge_bundle(self.merged, deltas)
+            if self.site_merged is not None:
+                _merge_bundle(self.site_merged[index_of[name]], deltas)
             bits = wire.payload_bits(payload)
             # A straggler's bundle has no merge partner at any level: its
             # bytes traverse every hop of its path unchanged.

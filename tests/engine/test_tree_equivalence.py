@@ -6,7 +6,9 @@ query through an aggregation tree must return the exact value, with the
 exact round count, that the depth-1 star returns.  The in-process network
 is a metering device that hands the payload back, so the tree overlay can
 only reroute and re-meter — any drift here means an aggregator touched
-payload semantics, which is the one thing it must never do.
+payload semantics, which is the one thing it must never do.  Streaming
+sessions meet the same bar byte for byte: the coordinator's merged states
+and robust per-site slots equal the flat star's after every boundary.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import pytest
 from repro import ClusterEstimator
 from repro.comm.conditions import LinkModel, NetworkConditions
 from repro.comm.tree import TreeSpec
+from repro.engine import streaming
 from repro.engine.streaming import StreamingSession
 from repro.matrices import generators
 
@@ -138,11 +141,35 @@ class TestStreamingTreeBitIdentity:
             }
             assert agg_bits and all(bits > 0 for bits in agg_bits.values())
 
+    def test_an_on_time_epoch_decodes_nothing(self, monkeypatch):
+        """Aggregators merge the delta bundles the session already holds:
+        with every shipping site on time, no payload is decoded."""
+        k = 8
+        shards, b = _binary_cluster(k, rows_per_site=3)
+        session = ClusterEstimator(shards, b, seed=77).stream(tree=2)
+        decoded = []
+        decode = streaming.deserialize_deltas
+
+        def spy(*args):
+            decoded.append(args)
+            return decode(*args)
+
+        monkeypatch.setattr(streaming, "deserialize_deltas", spy)
+        offset = 0
+        for index, shard in enumerate(shards):
+            session.ingest(index, offset + np.arange(shard.shape[0]), shard)
+            offset += shard.shape[0]
+        report = session.end_epoch()
+        assert all(report.shipped.values()) and report.late == []
+        assert session.network.link_bits()["agg-1-0"] > 0
+        assert decoded == []
+
     @pytest.mark.parametrize("sketch_mode", ["dense", "hash"])
     def test_merged_states_match_the_flat_star_byte_for_byte(self, sketch_mode):
         """The coordinator's merged states and robust per-site slots are
         the same bytes on every shape, after every boundary and after a
-        late fold, with one deadline straggler in the stream."""
+        late fold, with one deadline straggler in the stream; the slots
+        add up to the merged states."""
         k = 8
         names = [f"site-{i}" for i in range(k)]
         shapes = {
@@ -189,6 +216,13 @@ class TestStreamingTreeBitIdentity:
             assert flat[0]["ams"] is not None
             for shape in ("fan-2", "nested"):
                 assert snapshot(sessions[shape]) == flat, f"{shape} {when}"
+            # The robust slots hold every merged delta exactly once.
+            session = sessions["flat"]
+            for key, merged in session.merged.items():
+                total = session.templates[key].empty_copy()
+                for slot in session.site_merged:
+                    total.merge(slot[key])
+                assert total.state_array().tobytes() == flat[0][key], when
 
         rng = np.random.default_rng(41)
         for epoch in range(4):
