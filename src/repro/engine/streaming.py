@@ -513,6 +513,10 @@ class StreamingSession(EstimatorBase):
         """Whether :meth:`close` has run (mutations now raise)."""
         return self._closed
 
+    def _check_site_index(self, site: int) -> None:
+        if not 0 <= site < len(self.sites):
+            raise ValueError(f"site index {site} out of range [0, {len(self.sites)})")
+
     def _check_open(self, operation: str) -> None:
         if self._closed:
             raise SessionClosedError(
@@ -551,8 +555,7 @@ class StreamingSession(EstimatorBase):
         restored and ships its backlog, because deltas are linear.
         """
         self._check_open("drop a site")
-        if not 0 <= site < len(self.sites):
-            raise ValueError(f"site index {site} out of range [0, {len(self.sites)})")
+        self._check_site_index(site)
         self._dropped.add(site)
 
     def restore_site(self, site: int) -> None:
@@ -563,8 +566,7 @@ class StreamingSession(EstimatorBase):
         could never ship them and would only misreport connectivity.
         """
         self._check_open("restore a site")
-        if not 0 <= site < len(self.sites):
-            raise ValueError(f"site index {site} out of range [0, {len(self.sites)})")
+        self._check_site_index(site)
         self._dropped.discard(site)
 
     @property
@@ -591,8 +593,7 @@ class StreamingSession(EstimatorBase):
         — which is what makes streamed and one-shot summaries bit-identical.
         """
         self._check_open("ingest")
-        if not 0 <= site < len(self.sites):
-            raise ValueError(f"site index {site} out of range [0, {len(self.sites)})")
+        self._check_site_index(site)
         target = self.sites[site]
         rows = np.asarray(rows, dtype=np.int64).reshape(-1)
         deltas = np.asarray(deltas)
@@ -810,7 +811,9 @@ class StreamingSession(EstimatorBase):
                 continue
             merged = parts[0]
             if len(parts) > 1:
-                merged = {key: self.templates[key].empty_copy() for key in FAMILIES}
+                merged = {
+                    key: self.templates[key].empty_copy() for key in FAMILIES
+                }
                 for part in parts:
                     _merge_bundle(merged, part)
             relays.append((agg, serialize_deltas(merged)))
