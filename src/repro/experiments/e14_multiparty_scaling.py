@@ -8,9 +8,10 @@ coordinator holding ``B``.  The claims this driver checks:
   interaction, so every protocol keeps its two-party round count;
 * *total bits grow (sub)linearly in k* — the broadcast and the k uploads
   each carry a per-site copy of an O~(n)-sized summary;
-* *the busiest link stays ~flat* — per-link load does not grow with k, which
-  is what lets the star parallelize (the makespan is bounded by
-  ``max_link_bits``, not ``total_bits``).
+* *the busiest link stays ~flat* — per-link load does not grow with k.  The
+  coordinator's ingress still does: its k uploads drain into one endpoint
+  back to back, which is what the simulated makespan prices and what the
+  aggregation trees of E18 break up.
 
 The per-round bit breakdown (``MessageLog.bits_per_round`` contract, shared by
 every meter) attributes the growth: the downstream broadcast round scales
