@@ -14,6 +14,8 @@ The load-bearing pins:
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -286,6 +288,50 @@ class TestLiveQueries:
         c = a @ b
         for i, j in heavy.pairs:
             assert c[i, j] ** 2 >= 0.05 * float((c.astype(float) ** 2).sum())
+
+    @pytest.mark.parametrize("hh_depth", [1, 4, 5])
+    @pytest.mark.parametrize("sketch_mode", ["dense", "hash"])
+    def test_live_heavy_hitters_equal_filtering_every_estimate(
+        self, sketch_mode, hh_depth
+    ):
+        """Pin: the live read is byte for byte the filter of ``query_rows()``.
+
+        The reference writes out the full path: the C-space table, every
+        per-entry median, then the threshold test in row-major order.  The
+        phis give empty, few, tens-to-hundreds and thousands of pairs.
+        """
+        from repro.core.result import HeavyHitterOutput
+        from repro.engine.streaming import StreamingSession
+
+        def reference(session, phi):
+            cs = session.merged["countsketch"]
+            c_space = cs.empty_copy()
+            c_space.load_state_array(cs.table @ session._b_float)
+            estimates = c_space.query_rows()
+            hits = np.nonzero(estimates**2 >= phi * session.live_lp_norm(2.0))
+            reported = {
+                (int(i), int(j)): float(estimates[i, j]) for i, j in zip(*hits)
+            }
+            return HeavyHitterOutput(pairs=set(reported), estimates=reported)
+
+        k, rows, m = 4, 128, 8
+        rng = np.random.default_rng(2024)
+        b = rng.integers(-2, 3, size=(m, m))
+        session = StreamingSession(
+            [rows] * k, b, seed=11, sketch_mode=sketch_mode,
+            hh_depth=hh_depth, hh_width=32,
+        )
+        for _ in range(3):
+            for site in range(k):
+                ids = site * rows + rng.integers(0, rows, size=48)
+                session.ingest(site, ids, rng.integers(-2, 3, size=(48, m)))
+            session.end_epoch()
+            for phi in (0.5, 0.02, 0.01, 1e-3):
+                expected = reference(session, phi)
+                got = session.live_heavy_hitters(phi)
+                assert pickle.dumps(got) == pickle.dumps(expected), phi
+        assert len(reference(session, 0.5)) == 0
+        assert len(reference(session, 1e-3)) >= 1000
 
     def test_preload_warms_live_estimates(self, binary_pair):
         a, b = binary_pair
