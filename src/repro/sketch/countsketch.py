@@ -18,6 +18,7 @@ tables on first use to keep repeated queries cheap.
 from __future__ import annotations
 
 import copy
+from typing import Iterator
 
 import numpy as np
 
@@ -307,6 +308,24 @@ class CountSketch:
             out[keys] = np.median(estimates, axis=0)
         return out
 
+    def _key_blocks(self) -> Iterator[np.ndarray]:
+        """Blocks of keys for a full-universe query of a vector-valued table.
+
+        Each block holds ``_CHUNK // (depth * m)`` keys, so a per-block
+        temporary of ``depth x keys x m`` entries stays within ``_CHUNK``
+        whatever the row width ``m`` (a zero-width table counts as ``m = 1``).
+        Small universes hash once into the dense cache first.
+        """
+        if self.table.ndim != 3:
+            raise ValueError("this table holds scalar counters; use query_all()")
+        if self.n <= _DENSE_CACHE_MAX:
+            self._ensure_dense_cache()
+        step = max(1, _CHUNK // (self.depth * max(1, self.table.shape[2])))
+        return (
+            np.arange(start, min(start + step, self.n))
+            for start in range(0, self.n, step)
+        )
+
     def query_rows(self) -> np.ndarray:
         """Estimate every row-vector of a vector-valued table (``n x m``).
 
@@ -314,16 +333,11 @@ class CountSketch:
         repetitions of ``sign_r(i) * table[r, bucket_r(i), :]`` — the classic
         point query applied coordinate by coordinate.
         """
-        if self.table.ndim != 3:
-            raise ValueError("this table holds scalar counters; use query_all()")
-        if self.n <= _DENSE_CACHE_MAX:
-            self._ensure_dense_cache()
+        blocks = self._key_blocks()
         out = np.empty((self.n, self.table.shape[2]))
         rows = np.arange(self.depth)[:, None]
         # The per-key median does not depend on the blocking.
-        step = max(1, _CHUNK // (self.depth * self.table.shape[2]))
-        for start in range(0, self.n, step):
-            keys = np.arange(start, min(start + step, self.n))
+        for keys in blocks:
             estimates = (
                 self._batch_signs(keys)[:, :, None]
                 * self.table[rows, self._batch_buckets(keys)]

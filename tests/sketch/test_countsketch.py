@@ -104,6 +104,11 @@ class TestVectorCountSketch:
             tracemalloc.stop()
         assert peak < 64 << 20  # the output alone is 16 MiB
 
+    def test_zero_width_rows_query_to_an_empty_matrix(self, rng):
+        sketch = CountSketch(10, 4, 3, rng)
+        sketch.update_many(np.arange(2), np.ones((2, 0)))
+        assert sketch.query_rows().shape == (10, 0)
+
     def test_vector_updates_are_linear_in_chunks(self, rng):
         n, m = 40, 6
         a = np.random.default_rng(3).integers(-4, 5, size=(n, m))
