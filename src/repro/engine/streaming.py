@@ -1018,6 +1018,9 @@ class StreamingSession(EstimatorBase):
         Point estimates come from the vector-valued CountSketch turned into
         per-column CountSketches of ``C`` (one multiplication by ``B``); the
         threshold is ``phi`` times the live AMS estimate of ``||C||_2^2``.
+        Only the entries that can clear it are estimated
+        (:meth:`CountSketch.heavy_entries`); the output is byte for byte the
+        filter of every per-entry estimate, in row-major order.
         """
         if not 0 < phi <= 1:
             raise ValueError(f"phi must be in (0, 1], got {phi}")
@@ -1029,10 +1032,10 @@ class StreamingSession(EstimatorBase):
             return HeavyHitterOutput()
         c_space = cs.empty_copy()
         c_space.load_state_array(cs.table @ self._b_float)
-        estimates = c_space.query_rows()
+        rows, cols, estimates = c_space.heavy_entries(phi * total_f2)
         reported = {
-            (int(i), int(j)): float(estimates[i, j])
-            for i, j in zip(*np.nonzero(estimates**2 >= phi * total_f2))
+            (i, j): value
+            for i, j, value in zip(rows.tolist(), cols.tolist(), estimates.tolist())
         }
         return HeavyHitterOutput(pairs=set(reported), estimates=reported)
 

@@ -331,7 +331,8 @@ class CountSketch:
 
         Row ``i``'s estimate is the entrywise median over the ``depth``
         repetitions of ``sign_r(i) * table[r, bucket_r(i), :]`` — the classic
-        point query applied coordinate by coordinate.
+        point query applied coordinate by coordinate.  This is the reference
+        that :meth:`heavy_entries` reproduces byte for byte.
         """
         blocks = self._key_blocks()
         out = np.empty((self.n, self.table.shape[2]))
@@ -344,6 +345,39 @@ class CountSketch:
             )
             out[keys] = np.median(estimates, axis=0)
         return out
+
+    def heavy_entries(self, threshold: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The entries of :meth:`query_rows` whose square is at least ``threshold``.
+
+        Returns ``(rows, cols, estimates)`` in row-major order: byte for byte
+        ``np.nonzero(query_rows() ** 2 >= threshold)`` and the estimates
+        there, without taking the median of an entry that cannot qualify.
+        A median of ``depth`` values squares to at least ``threshold > 0``
+        only if ``ceil(depth / 2)`` of the values do (every value on the far
+        side of the middle is at least as large in magnitude, and rounding
+        a square is monotone in ``|v|``).  Each value is
+        ``±table[r, bucket_r(i), j]``, so one boolean table screens the
+        repetitions, and only entries with enough qualifying repetitions
+        get the exact median and the exact test.  A threshold of zero or
+        less screens out nothing.
+        """
+        blocks = self._key_blocks()
+        rows = np.arange(self.depth)[:, None]
+        qualifies = self.table**2 >= threshold
+        votes_dtype = np.min_scalar_type(self.depth)
+        found = []
+        for keys in blocks:
+            buckets = self._batch_buckets(keys)
+            votes = qualifies[rows, buckets].sum(axis=0, dtype=votes_dtype)
+            cand_i, cand_j = np.nonzero(votes >= (self.depth + 1) // 2)
+            values = (
+                self._batch_signs(keys[cand_i])
+                * self.table[rows, buckets[:, cand_i], cand_j]
+            )
+            estimates = np.median(values, axis=0)
+            keep = estimates**2 >= threshold
+            found.append((keys[cand_i[keep]], cand_j[keep], estimates[keep]))
+        return tuple(np.concatenate(part) for part in zip(*found))
 
     def heavy_hitters(self, threshold: float) -> list[tuple[int, float]]:
         """All coordinates whose estimate is at least ``threshold``."""

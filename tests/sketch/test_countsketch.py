@@ -6,7 +6,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from repro.sketch import countsketch
 from repro.sketch.countmin import CountMinSketch
 from repro.sketch.countsketch import CountSketch
 
@@ -108,6 +112,70 @@ class TestVectorCountSketch:
         sketch = CountSketch(10, 4, 3, rng)
         sketch.update_many(np.arange(2), np.ones((2, 0)))
         assert sketch.query_rows().shape == (10, 0)
+
+    @given(
+        depth=st.integers(1, 6),
+        width=st.integers(1, 6),
+        m=st.integers(1, 8),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        lazy=st.booleans(),
+        chunk=st.sampled_from([1 << 20, 48, 7]),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_heavy_entries_equal_the_filtered_row_estimates(
+        self, depth, width, m, n, seed, lazy, chunk, data
+    ):
+        table = data.draw(
+            hnp.arrays(np.int64, (depth, width, m), elements=st.integers(-3, 3))
+        )
+        sketch = CountSketch(n, width, depth, np.random.default_rng(seed))
+        sketch.load_state_array(table.astype(float))
+        with pytest.MonkeyPatch.context() as patch:
+            # Small chunks split the universe into several key blocks; a
+            # cache bound below n keeps the hashes lazy.
+            patch.setattr(countsketch, "_CHUNK", chunk)
+            if lazy:
+                patch.setattr(countsketch, "_DENSE_CACHE_MAX", n - 1)
+            estimates = sketch.query_rows()
+            # Boundaries: the exact square of a table entry or of an
+            # estimate (half-integers at even depth), and its neighbours.
+            value = data.draw(st.sampled_from([*table.ravel(), *estimates.ravel()]))
+            square = float(value) ** 2
+            below, above = np.nextafter(square, [-np.inf, np.inf])
+            for threshold in (square, below, above):
+                rows, cols, values = sketch.heavy_entries(threshold)
+                hits = np.nonzero(estimates**2 >= threshold)
+                np.testing.assert_array_equal(rows, hits[0])
+                np.testing.assert_array_equal(cols, hits[1])
+                assert values.tobytes() == estimates[hits].tobytes()
+            assert ("buckets" in sketch._cache) is not lazy
+
+    @pytest.mark.parametrize("threshold, passing", [(5.0, 0), (1.0, 1 << 21)])
+    def test_heavy_entries_peak_memory_is_bounded_in_bytes(self, rng, threshold, passing):
+        n, m = 1 << 15, 64
+        sketch = CountSketch(n, 64, 5, rng)
+        # Every |value| is 1 or 2, so every median squares to 1 or 4.
+        sketch.load_state_array(rng.choice([-2.0, -1.0, 1.0, 2.0], size=(5, 64, m)))
+        # The dense hash cache (2.5 MiB here) is built once per sketch and
+        # shared by its clones; measure the query alone.
+        sketch.bucket_of
+        tracemalloc.start()
+        try:
+            rows, _, _ = sketch.heavy_entries(threshold)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows.size == passing
+        # Screening alone needs no per-entry estimate; the full output is
+        # 48 MiB (two int64 index arrays and the float64 estimates).
+        assert peak < (8 << 20 if passing == 0 else 128 << 20)
+
+    def test_zero_width_tables_have_no_heavy_entries(self, rng):
+        sketch = CountSketch(10, 4, 3, rng)
+        sketch.update_many(np.arange(2), np.ones((2, 0)))
+        assert [part.size for part in sketch.heavy_entries(1.0)] == [0, 0, 0]
 
     def test_vector_updates_are_linear_in_chunks(self, rng):
         n, m = 40, 6
