@@ -13,6 +13,14 @@ universe builds in microseconds.  The hash values (and therefore every
 table state and transcript) are bit-identical to the historical dense
 implementation; full-universe queries over small universes cache the dense
 tables on first use to keep repeated queries cheap.
+
+Vector-valued tables (one counter vector per bucket, as the streaming
+runtime keeps for the rows of a matrix) have two full-universe reads.
+:meth:`CountSketch.query_rows` takes the median of every entry and is the
+reference.  :meth:`CountSketch.heavy_entries` returns only the entries whose
+square clears a threshold: it screens the buckets first, so only entries
+that can qualify pay for a median, and its output equals filtering
+``query_rows()`` byte for byte.
 """
 
 from __future__ import annotations
@@ -35,9 +43,10 @@ from repro.sketch.mergeable import (
 _DENSE_CACHE_MAX = 1 << 22
 
 #: Block budget of streamed full-universe operations: scalar tables hash
-#: ``_CHUNK`` keys per block; :meth:`CountSketch.query_rows` steps by
-#: ``_CHUNK // (depth * m)`` keys, so each of its temporaries holds at most
-#: ``_CHUNK`` float64 estimates (8 MiB) whatever the row width ``m``.
+#: ``_CHUNK`` keys per block; :meth:`CountSketch.query_rows` and
+#: :meth:`CountSketch.heavy_entries` step by ``_CHUNK // (depth * m)`` keys,
+#: so each of their per-block temporaries holds at most ``_CHUNK`` entries
+#: (8 MiB of float64 estimates) whatever the row width ``m``.
 _CHUNK = 1 << 20
 
 
@@ -349,15 +358,14 @@ class CountSketch:
     def heavy_entries(self, threshold: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The entries of :meth:`query_rows` whose square is at least ``threshold``.
 
-        Returns ``(rows, cols, estimates)`` in row-major order: byte for byte
+        Returns ``(rows, cols, estimates)``: byte for byte
         ``np.nonzero(query_rows() ** 2 >= threshold)`` and the estimates
-        there, without taking the median of an entry that cannot qualify.
-        A median of ``depth`` values squares to at least ``threshold > 0``
-        only if ``ceil(depth / 2)`` of the values do (every value on the far
-        side of the middle is at least as large in magnitude, and rounding
-        a square is monotone in ``|v|``).  Each value is
-        ``±table[r, bucket_r(i), j]``, so one boolean table screens the
-        repetitions, and only entries with enough qualifying repetitions
+        there, in row-major order.  A median of ``depth`` values squares to
+        at least ``threshold > 0`` only if ``ceil(depth / 2)`` of the values
+        do: every value beyond the middle is at least as large in magnitude,
+        and a rounded square grows with ``|v|``.  Each value is
+        ``±table[r, bucket_r(i), j]``, so one boolean table counts every
+        entry's qualifying repetitions, and only entries with enough of them
         get the exact median and the exact test.  A threshold of zero or
         less screens out nothing.
         """
