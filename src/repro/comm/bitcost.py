@@ -69,6 +69,18 @@ def bits_for_index_list(indices: Sized, universe: int) -> int:
     return bits_for_int(len(indices)) + len(indices) * bits_for_index(universe)
 
 
+#: ``2**0 .. 2**62``: a length ``n`` has as many bits as there are powers <= n.
+_POWERS_OF_TWO = 2 ** np.arange(63, dtype=np.int64)
+
+
+def bits_for_index_lists(lengths: np.ndarray, universe: int) -> int:
+    """Total :func:`bits_for_index_list` of lists with these lengths."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    bit_lengths = np.searchsorted(_POWERS_OF_TWO, lengths, side="right")
+    length_bits = int((np.maximum(bit_lengths, 1) + 1).sum())  # bits_for_int
+    return length_bits + int(lengths.sum()) * bits_for_index(universe)
+
+
 def bits_for_vector(vector: np.ndarray, *, per_entry: int | None = None) -> int:
     """Bits for a dense vector.
 

@@ -22,6 +22,11 @@ bounded by ``O~(n^{1.5}/eps)`` (Theorem 4.1) / ``O~(n^{1.5}/kappa)``
 (Theorem 4.3) in the paper's analyses.  With a single site this is exactly
 the two-party exchange (Bob ships the smaller side's lists, Alice the
 rest).
+
+Each endpoint builds all its lists from one ``np.flatnonzero`` over the
+gathered rows (``B``'s rows, or the shard's columns), split at the
+per-item counts, and charges them from their lengths
+(:func:`repro.comm.bitcost.bits_for_index_lists`).
 """
 
 from __future__ import annotations
@@ -37,19 +42,30 @@ from repro.sketch.kernels import exact_matmul
 __all__ = ["star_exchange_item_supports"]
 
 
+def _index_lists(
+    rows: np.ndarray, items: np.ndarray, offset: int = 0
+) -> tuple[dict[int, np.ndarray], np.ndarray]:
+    """``{item: offset + flatnonzero(row)}`` for gathered rows, and the lengths.
+
+    One ``np.flatnonzero`` over all the rows, split at the per-row counts:
+    each list is a C-contiguous slice, so it pickles like a list built
+    alone.
+    """
+    positions = offset + np.flatnonzero(rows) % rows.shape[1]
+    lengths = np.count_nonzero(rows, axis=1)
+    lists = np.split(positions, np.cumsum(lengths)[:-1])
+    return dict(zip(items.tolist(), lists)), lengths
+
+
 def _down_list_task(b: np.ndarray, needed: np.ndarray) -> tuple[dict, int]:
     """Coordinator-side fan-out: column-index lists for one site's items.
 
     Returns ``(payload, down_bits)``; the bitmap charge (``n_items`` bits
     announcing which items the hub covers) is included in ``down_bits``.
     """
-    n_items = b.shape[0]
-    payload = {}
-    down_bits = n_items  # bitmap announcing which items the hub covers
-    for j in np.flatnonzero(needed):
-        indices = np.flatnonzero(b[j, :])
-        payload[int(j)] = indices
-        down_bits += bitcost.bits_for_index_list(indices, max(b.shape[1], 1))
+    items = np.flatnonzero(needed)
+    payload, lengths = _index_lists(b[items], items)
+    down_bits = b.shape[0] + bitcost.bits_for_index_lists(lengths, max(b.shape[1], 1))
     return payload, down_bits
 
 
@@ -68,12 +84,9 @@ def _up_list_task(
     all the per-site compute of the exchange, so the serial phase only
     sends and assembles.
     """
-    payload = {}
-    up_bits = 0
-    for j in np.flatnonzero(ship):
-        indices = np.flatnonzero(shard[:, j])
-        payload[int(j)] = row_offset + indices
-        up_bits += bitcost.bits_for_index_list(indices, max(total_rows, 1))
+    items = np.flatnonzero(ship)
+    payload, lengths = _index_lists(shard[:, items].T, items, row_offset)
+    up_bits = bitcost.bits_for_index_lists(lengths, max(total_rows, 1))
     coord_block = exact_matmul(shard[:, site_ships], b[site_ships, :])
     site_share = exact_matmul(shard[:, coordinator_ships], b[coordinator_ships, :])
     return payload, up_bits, coord_block, site_share

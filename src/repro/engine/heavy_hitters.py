@@ -116,12 +116,11 @@ def _site_share_task(
     cannot drift apart.
     """
     ship_items = np.flatnonzero(ship_mask)
-    ship_bits = 0
-    for j in ship_items:
-        ship_bits += int(np.count_nonzero(beta_shard[:, j])) * (
-            bitcost.bits_for_index(max(total_rows, 1)) + value_bits
-        )
-    coord_block = exact_matmul(beta_shard[:, ship_mask], b[ship_mask, :])
+    shipped = beta_shard[:, ship_mask]
+    ship_bits = int(np.count_nonzero(shipped)) * (
+        bitcost.bits_for_index(max(total_rows, 1)) + value_bits
+    )
+    coord_block = exact_matmul(shipped, b[ship_mask, :])
 
     c_site = exact_matmul(beta_shard[:, coord_ships], b[coord_ships, :])
     heavy_site = {
@@ -263,19 +262,16 @@ class StarHeavyHittersProtocol(StarProtocol):
         site_ships = active & (v >= u)
 
         # Downstream: B-rows for coordinator-shipped items, to the sites
-        # whose shards touch them, plus each site's shipping instructions.
+        # whose shards touch them, plus each site's shipping instructions
+        # (an n_items-bit bitmap).
+        b_entry_bits = bitcost.bits_for_index(max(b.shape[1], 1)) + value_bits
         for site, u_site in zip(sites, site_counts):
             needed = coord_ships & (u_site > 0)
-            down_bits = n_items  # the per-item instruction bitmap
-            for j in np.flatnonzero(needed):
-                down_bits += int(v[j]) * (
-                    bitcost.bits_for_index(max(b.shape[1], 1)) + value_bits
-                )
             coordinator.send(
                 site,
                 {"ship_items": np.flatnonzero(site_ships & (u_site > 0)), "b_rows": needed},
                 label="hh/coordinator-lists",
-                bits=down_bits,
+                bits=n_items + int(v[needed].sum()) * b_entry_bits,
             )
 
         # Upstream: sites ship their column lists and, in the same round,

@@ -15,6 +15,10 @@ on each side (Remark 3); each site pre-draws one witness per item from its
 own shard, and the coordinator picks the owning site proportionally to the
 per-site column masses.  Both protocols use ``O(n log n)`` bits per site
 and one round.
+
+A site draws all its witnesses in a few array passes over column blocks,
+each witness the row ``Generator.choice`` would have drawn for its column
+from the same stream (see ``_l1_witness_task``).
 """
 
 from __future__ import annotations
@@ -29,6 +33,9 @@ from repro.engine.robust import RobustPolicy, robust_total
 from repro.engine.topology import Coordinator, Site
 
 __all__ = ["StarExactL1Protocol", "StarL1SamplingProtocol", "shard_column_sums"]
+
+#: Most shard entries one column block of the witness draw holds.
+_WITNESS_BLOCK_ENTRIES = 1 << 20
 
 
 def _check_nonnegative(matrix: np.ndarray, who: str) -> np.ndarray:
@@ -55,17 +62,30 @@ def _l1_witness_task(
 ) -> tuple[tuple[np.ndarray, np.ndarray], np.random.Generator]:
     """One site's Remark-3 work: column sums + one witness row per item.
 
-    Witnesses are drawn column by column from the site's private ``rng``
-    (returned advanced, per the runtime's ``map_sites`` contract), exactly
-    as the serial protocol always did.
+    Every column with a positive sum gets the witness that
+    ``rng.choice(rows, p=shard[:, j] / column_sums[j])`` would draw, column
+    after column, from the site's private ``rng`` (returned advanced, per
+    the runtime's ``map_sites`` contract).  ``Generator.choice`` divides the
+    cumulative sum of ``p`` by its last entry and returns
+    ``cdf.searchsorted(rng.random(), side="right")``.  Here one
+    ``rng.random(live)`` call yields the same doubles in column order;
+    ``np.cumsum`` adds sequentially down each column of a block, so every
+    column's cdf has the bytes of its 1-D cumsum; and in a non-decreasing
+    cdf the count of entries ``<= u`` is that right-sided search.  Column
+    blocks of at most ``_WITNESS_BLOCK_ENTRIES`` entries bound the
+    temporaries.
     """
-    n_inner = shard.shape[1]
     column_sums = shard.sum(axis=0).astype(float)
-    witnesses = np.full(n_inner, -1, dtype=np.int64)
-    for j in range(n_inner):
-        if column_sums[j] > 0:
-            probabilities = shard[:, j] / column_sums[j]
-            witnesses[j] = row_offset + rng.choice(shard.shape[0], p=probabilities)
+    witnesses = np.full(shard.shape[1], -1, dtype=np.int64)
+    live = np.flatnonzero(column_sums > 0)
+    uniforms = rng.random(live.size)
+    block = max(1, _WITNESS_BLOCK_ENTRIES // max(shard.shape[0], 1))
+    for start in range(0, live.size, block):
+        columns = live[start : start + block]
+        cdf = np.cumsum(shard[:, columns] / column_sums[columns], axis=0)
+        cdf /= cdf[-1]
+        below = np.count_nonzero(cdf <= uniforms[start : start + block], axis=0)
+        witnesses[columns] = row_offset + below
     return (column_sums, witnesses), rng
 
 

@@ -46,6 +46,7 @@ from repro.engine.l1 import shard_column_sums
 from repro.engine.lp_norm import check_inner_dims, total_rows_of
 from repro.engine.runtime import Runtime
 from repro.engine.topology import Coordinator, Site
+from repro.sketch.kernels import count_alive_levels
 
 __all__ = [
     "StarGeneralMatrixLinfProtocol",
@@ -98,13 +99,21 @@ class _NestedSampler:
         self.priorities = rng.uniform(size=a.shape)
 
     def column_sums(self) -> np.ndarray:
-        """Column sums of every level matrix, shape ``(levels, n_items)``."""
-        return np.stack(
-            [
-                (self.ones & (self.priorities < rate)).sum(axis=0)
-                for rate in self.keep_rates
-            ]
-        )
+        """Column sums of every level matrix, shape ``(levels, n_items)``.
+
+        The rates never increase, so a 1-entry counts towards levels
+        ``0..c-1``, where ``c`` is its alive-level count
+        (:func:`~repro.sketch.kernels.count_alive_levels` makes the same
+        ``priority < rate`` comparisons).  One ``np.bincount`` over
+        (count, column) cells and a cumulative sum over the counts from the
+        top give every level at once, as a C-contiguous int64 array.
+        """
+        levels, n_items = self.keep_rates.shape[0], self.ones.shape[1]
+        columns = np.nonzero(self.ones)[1]
+        counts = count_alive_levels(self.priorities[self.ones], self.keep_rates)
+        cells = np.bincount(counts * n_items + columns, minlength=(levels + 1) * n_items)
+        at_least = np.cumsum(cells.reshape(levels + 1, n_items)[::-1], axis=0)[::-1]
+        return np.ascontiguousarray(at_least[1:])
 
     def level_matrix(self, level: int) -> np.ndarray:
         """Materialise the binary matrix of one level."""

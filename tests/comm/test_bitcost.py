@@ -42,6 +42,18 @@ class TestBitsForCollections:
         assert long > short
         assert long - bitcost.bits_for_int(10) == 10 * 8
 
+    @pytest.mark.parametrize("universe", [1, 2, 100, 2**40])
+    def test_index_lists_total_each_lists_charge(self, universe):
+        # Each bit-length boundary alone, then a few lists together.
+        boundaries = [[2**e + d] for e in range(63) for d in (-1, 0, 1) if 2**e + d < 2**63]
+        for lengths in [[], [0], [0, 1, 2, 3, 4, 7, 8, 9], *boundaries]:
+            expected = sum(
+                bitcost.bits_for_index_list(range(n), universe) for n in lengths
+            )
+            got = bitcost.bits_for_index_lists(np.array(lengths, dtype=np.int64), universe)
+            assert got == expected
+            assert type(got) is int
+
     def test_float_vector_charged_64_bits_per_entry(self):
         vector = np.zeros(10, dtype=float)
         assert bitcost.bits_for_vector(vector) == 10 * bitcost.FLOAT_BITS
