@@ -37,6 +37,8 @@ __all__ = ["StarExactL1Protocol", "StarL1SamplingProtocol", "shard_column_sums"]
 #: Most shard entries one column block of the witness draw holds.
 _WITNESS_BLOCK_ENTRIES = 1 << 20
 
+_INT64_LIMIT = 2**63
+
 
 def _check_nonnegative(matrix: np.ndarray, who: str) -> np.ndarray:
     matrix = np.asarray(matrix)
@@ -48,13 +50,35 @@ def _check_nonnegative(matrix: np.ndarray, who: str) -> np.ndarray:
     return matrix
 
 
+def _exact_sums(matrix: np.ndarray, axis: int, what: str) -> np.ndarray:
+    """``matrix.sum(axis)``, raising ``ValueError`` where a sum is not exact.
+
+    An integer sum beyond int64 wraps around, and a float sum of NaN or inf
+    entries, or one that overflows, is not finite; either would silently
+    corrupt Remarks 2-3.  The int64 check is exact and cheap: Python-int
+    sums run only when ``rows * max|entry|`` reaches ``2**63``.
+    """
+    sums = matrix.sum(axis=axis)
+    if matrix.dtype.kind == "f" and not np.isfinite(sums).all():
+        raise ValueError(f"a {what} is not finite (NaN or inf entries, or float overflow)")
+    if matrix.dtype.kind in "iu" and matrix.size:
+        largest = max(int(matrix.max()), -int(matrix.min()))
+        if matrix.shape[axis] * largest >= _INT64_LIMIT and any(
+            not -_INT64_LIMIT <= total < _INT64_LIMIT
+            for total in matrix.astype(object).sum(axis=axis).flat
+        ):
+            raise ValueError(f"a {what} does not fit int64")
+    return sums
+
+
 def shard_column_sums(shard: np.ndarray) -> np.ndarray:
     """One shard's per-item column sums (Remark 2's mergeable summary).
 
     Module-level so the runtime can fan it out across sites; the ``l_inf``
     and heavy-hitter protocols reuse it for their own Remark-2 phases.
+    Raises ``ValueError`` when a sum does not fit int64 or is not finite.
     """
-    return np.asarray(shard).sum(axis=0)
+    return _exact_sums(np.asarray(shard), 0, "column sum")
 
 
 def _l1_witness_task(
@@ -75,7 +99,7 @@ def _l1_witness_task(
     blocks of at most ``_WITNESS_BLOCK_ENTRIES`` entries bound the
     temporaries.
     """
-    column_sums = shard.sum(axis=0).astype(float)
+    column_sums = shard_column_sums(shard).astype(float)
     witnesses = np.full(shard.shape[1], -1, dtype=np.int64)
     live = np.flatnonzero(column_sums > 0)
     uniforms = rng.random(live.size)
@@ -149,7 +173,7 @@ class StarExactL1Protocol(StarProtocol):
                 if name in present
             }
 
-        row_sums = b.sum(axis=1)
+        row_sums = _exact_sums(b, 1, "row sum of B")
         value = float(np.dot(merged, row_sums.astype(float)))
         return value, details
 
@@ -197,7 +221,7 @@ class StarL1SamplingProtocol(StarProtocol):
         # Coordinator: item j ~ ||A_{*,j}||_1 ||B_{j,*}||_1, then a column
         # witness from B and a row witness from the owning site.
         merged = np.sum(site_column_sums, axis=0)
-        row_sums = b.sum(axis=1).astype(float)
+        row_sums = _exact_sums(b, 1, "row sum of B").astype(float)
         masses = merged * row_sums
         total = masses.sum()
         if total <= 0:

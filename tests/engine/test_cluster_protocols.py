@@ -14,10 +14,13 @@ import pytest
 from repro import ClusterEstimator, MatrixProductEstimator
 from repro.matrices import exact_heavy_hitters, exact_lp_pp, generators, product
 from repro.engine import (
+    StarExactL1Protocol,
     StarHeavyHittersProtocol,
     StarL0SamplingProtocol,
+    StarL1SamplingProtocol,
     StarLpNormProtocol,
 )
+from repro.engine.l1 import shard_column_sums
 
 
 @pytest.fixture
@@ -226,3 +229,60 @@ class TestValidation:
         assert not sample.value.success
         heavy = StarHeavyHittersProtocol(0.1, 0.05, seed=0).run(shards, b)
         assert len(heavy.value) == 0
+
+
+class TestL1SumsAreExact:
+    """Remarks 2-3 refuse column and row sums that are not exact.
+
+    Before, an int64 column sum wrapped silently (``5 * 2**62`` became
+    ``2**62``), NaN or inf entries failed deep inside the bit charge, and the
+    sampler's failure depended on how far the sum wrapped.
+    """
+
+    PROTOCOLS = [StarExactL1Protocol, StarL1SamplingProtocol]
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize("rows", [4, 5])
+    def test_column_sum_beyond_int64_raises(self, protocol, rows):
+        a = np.full((rows, 2), 2**62, dtype=np.int64)
+        b = np.ones((2, 2), dtype=np.int64)
+        with pytest.raises(ValueError, match="column sum does not fit int64"):
+            protocol(seed=1).run([a], b)
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_row_sum_of_b_beyond_int64_raises(self, protocol):
+        a = np.ones((3, 2), dtype=np.int64)
+        b = np.full((2, 5), 2**62, dtype=np.int64)
+        with pytest.raises(ValueError, match="row sum of B does not fit int64"):
+            protocol(seed=1).run([a[:1], a[1:]], b)
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_float_sums_raise(self, protocol, bad):
+        a = np.ones((3, 2))
+        a[:2, 1] = bad  # 1e308 + 1e308 overflows to inf
+        b = np.ones((2, 2))
+        with pytest.raises(ValueError, match="column sum is not finite"):
+            protocol(seed=1).run([a], b)
+        with pytest.raises(ValueError, match="row sum of B is not finite"):
+            protocol(seed=1).run([np.ones((3, 2))], a.T.copy())
+
+    def test_a_single_huge_entry_still_runs(self):
+        a = np.zeros((5, 2), dtype=np.int64)
+        a[3, 0] = 2**62
+        b = np.ones((2, 2), dtype=np.int64)
+        assert StarExactL1Protocol(seed=1).run([a[:2], a[2:]], b).value == float(2**63)
+        sample = StarL1SamplingProtocol(seed=1).run([a[:2], a[2:]], b).value
+        assert sample.row == 3 and sample.col in (0, 1)
+
+    def test_shard_column_sums_keeps_the_sum_dtype(self):
+        for shard in (
+            np.ones((3, 2), dtype=bool),
+            np.ones((3, 2), dtype=np.int32),
+            np.ones((3, 2), dtype=np.uint8),
+            np.ones((3, 2), dtype=np.float32),
+        ):
+            sums = shard_column_sums(shard)
+            assert sums.dtype == shard.sum(axis=0).dtype
+            assert sums.tolist() == [3, 3]
