@@ -53,8 +53,12 @@ def _index_lists(
     """
     positions = offset + np.flatnonzero(rows) % rows.shape[1]
     lengths = np.count_nonzero(rows, axis=1)
-    lists = np.split(positions, np.cumsum(lengths)[:-1])
-    return dict(zip(items.tolist(), lists)), lengths
+    ends = np.cumsum(lengths).tolist()
+    lists = {
+        item: positions[start:end]
+        for item, start, end in zip(items.tolist(), [0, *ends], ends)
+    }
+    return lists, lengths
 
 
 def _down_list_task(b: np.ndarray, needed: np.ndarray) -> tuple[dict, int]:
