@@ -119,11 +119,11 @@ def serial_baseline(binary_pair, integer_pair):
     """Serial reference transcripts, computed once per (family, k)."""
     cache: dict[tuple[str, int], object] = {}
 
-    def get(family, factory, integer_workload, k):
-        key = (family, k)
+    def get(family, factory, integer_workload, k, tree=None):
+        key = (family, k, tree)
         if key not in cache:
             a, b = integer_pair if integer_workload else binary_pair
-            cache[key] = factory().run(np.array_split(a, k, axis=0), b)
+            cache[key] = factory().run(np.array_split(a, k, axis=0), b, tree=tree)
         return cache[key]
 
     return get
@@ -160,6 +160,30 @@ def test_concurrent_executors_reproduce_serial_transcripts(
     a, b = integer_pair if integer_workload else binary_pair
     shards = np.array_split(a, k, axis=0)
     result = factory().run(shards, b, runtime=concurrent_runtime)
+    assert_identical(baseline, result)
+
+
+@pytest.mark.parametrize(
+    "factory, integer_workload",
+    [(factory, integer) for _, factory, integer in FAMILIES],
+    ids=[family for family, _, _ in FAMILIES],
+)
+def test_concurrent_executors_reproduce_serial_tree_transcripts(
+    factory,
+    integer_workload,
+    binary_pair,
+    integer_pair,
+    concurrent_runtime,
+    serial_baseline,
+):
+    """The same invariance on a fan-out-2 tree at k = 4, whose two
+    aggregators merge or batch the sites' uploads before the root."""
+    family = next(f for f, fac, _ in FAMILIES if fac is factory)
+    baseline = serial_baseline(family, factory, integer_workload, 4, tree=2)
+    assert baseline.cost.link_bits["agg-0-0"] > 0
+    a, b = integer_pair if integer_workload else binary_pair
+    shards = np.array_split(a, 4, axis=0)
+    result = factory().run(shards, b, runtime=concurrent_runtime, tree=2)
     assert_identical(baseline, result)
 
 
