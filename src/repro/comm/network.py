@@ -92,10 +92,9 @@ def _payloads_mergeable(payloads: Sequence[Any]) -> bool:
 def merge_payload_group(payloads: Sequence[Any]) -> Any:
     """Merge one mergeable sibling group into a single summary.
 
-    Module-level and picklable, so :meth:`repro.engine.runtime.Runtime
-    .map_async` can fan per-level merge groups across threads; the result
-    is executor-invariant because the merges are
-    exact (integer states within 2^53).  Sketches merge into a fresh
+    The drain calls it once per merged group, on the calling thread.  The
+    merges are exact (integer states within 2^53), so every grouping of
+    the same uploads gives the same bytes.  Sketches merge into a fresh
     ``empty_copy`` — the children's payload objects are never mutated, the
     protocol endpoints may still hold references to them.
     """
@@ -117,9 +116,9 @@ class Network:
     Endpoints address the coordinator (``send(site, coordinator, ...)``)
     whatever the shape, and the network routes each message along the
     edges of :attr:`tree`.  Upstream payloads **stage** at their parent
-    aggregator; when the direction flips (or any meter is read) staged
-    sibling groups drain bottom-up, and each aggregator forwards ONE
-    message per label upstream:
+    aggregator; when the direction flips (or any meter is read) the staged
+    uploads drain in one bottom-up pass on the calling thread, and each
+    aggregator forwards ONE message per label upstream:
 
     * a genuinely merged summary (bits = the largest child burst) when the
       group is exact-mergeable (see :func:`merge_payload_group`), or
@@ -145,11 +144,6 @@ class Network:
         exactly ``site_names`` (in order) and whose root is
         ``coordinator_name``.  ``None`` routes over ``TreeSpec.flat``,
         which meters and prices exactly like passing that spec.
-    merge_runtime:
-        Optionally fans each drain level's merge groups through a
-        :class:`repro.engine.runtime.Runtime` executor (serial by default);
-        :attr:`merge_seconds` accumulates the aggregation wall-clock either
-        way, which is what the scaling benchmark charts.
     """
 
     def __init__(
@@ -159,7 +153,6 @@ class Network:
         *,
         conditions: NetworkConditions | None = None,
         tree: TreeSpec | None = None,
-        merge_runtime: Any | None = None,
     ) -> None:
         site_names = list(site_names)
         if not site_names:
@@ -182,13 +175,13 @@ class Network:
             name: MessageLog() for name in site_names + self.tree.aggregators
         }
         self.log = MessageLog()
-        self._staged: dict[str, list[tuple[str, Any, int]]] = {
-            agg: [] for agg in self.tree.aggregators
-        }
-        #: Entries across every ``_staged`` list, so an empty drain is O(1).
-        self._staged_count = 0
-        self.merge_runtime = merge_runtime
+        #: ``(label, payload, bits)`` uploads per aggregator that holds any,
+        #: so ``not self._staged`` is the O(1) empty check.
+        self._staged: dict[str, list[tuple[str, Any, int]]] = {}
+        #: Wall-clock seconds spent draining: grouping, merging, batching
+        #: and recording the forwarded hops.
         self.merge_seconds = 0.0
+        #: Sibling groups merged into one summary so far.
         self.merges = 0
 
     def _validate_conditions(self) -> None:
@@ -249,11 +242,7 @@ class Network:
         if bits is None:
             bits = bitcost.bits_for_payload(payload, universe=universe)
         if direction == UPSTREAM:
-            self._record_hop(site, UPSTREAM, payload, label, bits)
-            parent = self.tree.parent[site]
-            if parent != self.coordinator_name:
-                self._staged[parent].append((label, payload, bits))
-                self._staged_count += 1
+            self._hop_up(site, payload, label, bits)
         else:
             self._drain()
             self._deliver_downstream(self.tree.path_edges(site), payload, label, bits)
@@ -333,70 +322,44 @@ class Network:
         self.links[child].record(sender, receiver, label=label, bits=bits)
 
     # ------------------------------------------------------------------ drain
+    def _hop_up(self, child: str, payload: Any, label: str, bits: int) -> None:
+        """Record one upstream hop and stage it at the parent aggregator."""
+        self._record_hop(child, UPSTREAM, payload, label, bits)
+        parent = self.tree.parent[child]
+        if parent != self.coordinator_name:
+            self._staged.setdefault(parent, []).append((label, payload, bits))
+
     def _drain(self) -> None:
-        """Flush staged uploads bottom-up: one forwarded message per group."""
-        if not self._staged_count:
+        """Flush staged uploads bottom-up: one forwarded message per group.
+
+        One pass over :attr:`TreeSpec.bottom_up` reaches each aggregator
+        after every child aggregator below it has forwarded.  It groups its
+        staged uploads by label, in first-appearance order, and forwards
+        each group to its parent: one upload as it is, an exact-mergeable
+        group merged at the largest child bits, any other group as a list
+        at the summed bits.
+        """
+        if not self._staged:
             return
         started = time.perf_counter()
-        while self._staged_count:
-            depth = max(
-                self.tree.node_depth(agg)
-                for agg, entries in self._staged.items()
-                if entries
-            )
-            level = [
-                agg
-                for agg in self.tree.aggregators
-                if self.tree.node_depth(agg) == depth and self._staged[agg]
-            ]
-            # One combined (payload, bits) per (aggregator, label) group.
-            plan: list[tuple[str, str]] = []
-            grouped: dict[tuple[str, str], list[tuple[Any, int]]] = {}
-            for agg in level:
-                entries, self._staged[agg] = self._staged[agg], []
-                self._staged_count -= len(entries)
-                for label, payload, bits in entries:
-                    key = (agg, label)
-                    if key not in grouped:
-                        grouped[key] = []
-                        plan.append(key)
-                    grouped[key].append((payload, bits))
-            merge_keys = [
-                key
-                for key in plan
-                if len(grouped[key]) > 1
-                and _payloads_mergeable([p for p, _ in grouped[key]])
-            ]
-            tasks = [([p for p, _ in grouped[key]],) for key in merge_keys]
-            if len(tasks) > 1 and self.merge_runtime is not None:
-                # Per-level fan-out: every aggregator at this depth merges
-                # concurrently under whatever executor the runtime carries.
-                join = self.merge_runtime.map_async(merge_payload_group, tasks)
-                merged_results = join()
-            else:
-                merged_results = [merge_payload_group(*task) for task in tasks]
-            self.merges += len(tasks)
-            combined: dict[tuple[str, str], tuple[Any, int]] = {}
-            for key, merged in zip(merge_keys, merged_results):
-                combined[key] = (merged, max(b for _, b in grouped[key]))
-            for key in plan:
-                if key in combined:
-                    continue
-                group = grouped[key]
+        for agg in self.tree.bottom_up:
+            entries = self._staged.pop(agg, None)
+            if entries is None:
+                continue
+            groups: dict[str, list[tuple[Any, int]]] = {}
+            for label, payload, bits in entries:
+                groups.setdefault(label, []).append((payload, bits))
+            for label, group in groups.items():
+                payloads = [payload for payload, _ in group]
                 if len(group) == 1:
-                    combined[key] = group[0]
+                    payload, bits = group[0]
+                elif _payloads_mergeable(payloads):
+                    payload = merge_payload_group(payloads)
+                    bits = max(bits for _, bits in group)
+                    self.merges += 1
                 else:
-                    combined[key] = (
-                        [p for p, _ in group],
-                        sum(b for _, b in group),
-                    )
-            for agg, label in plan:
-                payload, bits = combined[(agg, label)]
-                self._record_hop(agg, UPSTREAM, payload, label, bits)
-                parent = self.tree.parent[agg]
-                if parent != self.coordinator_name:
-                    self._staged[parent].append((label, payload, bits))
-                    self._staged_count += 1
+                    payload, bits = payloads, sum(bits for _, bits in group)
+                self._hop_up(agg, payload, label, bits)
         self.merge_seconds += time.perf_counter() - started
 
     # ------------------------------------------------------------ accounting
@@ -486,9 +449,7 @@ class Network:
 
     def reset(self) -> None:
         """Clear all recorded traffic and staged uploads on every edge."""
-        for agg in self._staged:
-            self._staged[agg] = []
-        self._staged_count = 0
+        self._staged.clear()
         self.log.reset()
         for meter in self.links.values():
             meter.reset()

@@ -69,7 +69,7 @@ class TreeSpec:
         self.parent: dict[str, str] = seen
         self.children: dict[str, tuple[str, ...]] = children
         # Depth-first discovery fixes a deterministic order for leaves and
-        # aggregators alike (aggregators top-down, which _drain relies on).
+        # aggregators alike (aggregators top-down within a branch).
         leaves: list[str] = []
         aggregators: list[str] = []
         stack = [root]
@@ -95,6 +95,12 @@ class TreeSpec:
         self._depth = {root: 0}
         for node in aggregators + leaves:
             self._depth[node] = self._depth[self.parent[node]] + 1
+        #: Aggregators deepest first, stable on :attr:`aggregators`' order:
+        #: every child aggregator comes before its parent.  Both networks'
+        #: upload drains and the streaming epoch merge walk this order.
+        self.bottom_up: list[str] = sorted(
+            aggregators, key=self._depth.__getitem__, reverse=True
+        )
 
     # ---------------------------------------------------------------- shape
     @property

@@ -175,7 +175,6 @@ class StarProtocol:
             conditions=conditions,
             transport=transport,
             tree=spec,
-            merge_runtime=self.runtime,
         )
         value, details = self._run_on(topology)
         details.setdefault("num_sites", topology.num_sites)

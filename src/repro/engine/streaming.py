@@ -799,9 +799,8 @@ class StreamingSession(EstimatorBase):
             for site in on_time:
                 _merge_bundle(self.site_merged[site.index], bundles[site.name])
         relays: list[tuple[str, bytes]] = []
-        # Deepest aggregators first (stable on tree.aggregators' top-down
-        # order), so a parent sees its child aggregators' merged bundles.
-        for agg in sorted(tree.aggregators, key=tree.node_depth, reverse=True):
+        # Bottom-up, so a parent sees its child aggregators' merged bundles.
+        for agg in tree.bottom_up:
             parts = [
                 bundles.pop(child)
                 for child in tree.children[agg]

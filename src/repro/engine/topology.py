@@ -230,7 +230,6 @@ class StarTopology:
         conditions: NetworkConditions | None = None,
         transport: Transport | None = None,
         tree: "TreeSpec | int | None" = None,
-        merge_runtime: Any | None = None,
     ) -> "StarTopology":
         """Wire ``k = len(shards)`` sites around the coordinator.
 
@@ -250,8 +249,7 @@ class StarTopology:
         — default :data:`repro.comm.transport.IN_PROCESS`; the service
         layer passes a socket-backed transport instead.  ``tree`` (a
         :class:`~repro.comm.tree.TreeSpec` or an integer fan-out) routes it
-        through aggregators, and ``merge_runtime`` fans their per-level
-        merges out (see :class:`repro.comm.network.Network`).
+        through aggregators (see :class:`repro.comm.network.Network`).
         """
         shards = coerce_shards(shards)
         k = len(shards)
@@ -267,8 +265,6 @@ class StarTopology:
             conditions,
             tree=normalize_tree(tree, site_names, coordinator_name),
         )
-        if merge_runtime is not None:
-            network.merge_runtime = merge_runtime
         root = np.random.default_rng(seed)
         shared_seed = int(root.integers(0, 2**63 - 1))
         rngs = root.spawn(k + 1)

@@ -21,8 +21,9 @@ provably cannot:
   charted fan-out is far below the star.  The flat baseline is priced
   under the SAME tree makespan model (a depth-1 spec), so the comparison
   is apples to apples.
-* **Merge wall-clock** — the aggregators' actual summing time
-  (``merge_seconds``), the compute the coordinator no longer does alone.
+* **Merge wall-clock** — the wall-clock of the network's one bottom-up
+  drain (``merge_seconds``): the aggregators' grouping, summing and
+  forwarding, the compute the coordinator no longer does alone.
 * **Bit-identity anchor** — a real ``lp_norm`` protocol at a moderate k
   answers through a tree and must match the flat star bit for bit; the
   overlay reroutes and re-meters, never recomputes.

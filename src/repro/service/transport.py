@@ -198,9 +198,8 @@ class RemoteNetwork(Network):
     meters (8 bits per encoded payload byte) and observed socket bytes,
     with the service invariant ``observed * 8 == wire bits`` holding per
     edge per round.  Aggregator merges for the metered transcript are
-    computed coordinator-side (the edges relay the resulting bytes);
-    dispatching merge closures through the task fan-out would double-meter,
-    so :attr:`merge_runtime` is pinned to ``None``.
+    computed coordinator-side, in the inherited one-pass drain on the
+    calling thread, and the edges relay the resulting bytes.
     """
 
     def __init__(
@@ -251,17 +250,6 @@ class RemoteNetwork(Network):
         self._notified_round: dict[str, int] = {
             child: 0 for child in tree.children[tree.root]
         }
-
-    # Merges stay coordinator-side: StarTopology.build assigns the protocol
-    # runtime here, but a RemoteRuntime would ship merge closures to the
-    # sites as unmetered tasks — swallow the assignment.
-    @property
-    def merge_runtime(self):
-        return None
-
-    @merge_runtime.setter
-    def merge_runtime(self, value) -> None:
-        pass
 
     # --------------------------------------------------------------- request
     def _request(self, site: str, link: SiteLink, message: Message) -> Message:
