@@ -69,16 +69,17 @@ def _payloads_mergeable(payloads: Sequence[Any]) -> bool:
     Two shapes qualify: same-type :class:`~repro.sketch.mergeable
     .MergeableSketch` partials (the contract the hypothesis suites pin:
     counter states are exact integers in float64, so any merge grouping is
-    bit-identical), and equal-shape integer/bool ndarrays (exact sums).
-    Anything else — floats, tuples, dicts, mixed groups — is forwarded as
-    a batch instead; correctness never rides on a lossy merge.
+    bit-identical), and equal-shape integer ndarrays (exact sums).
+    Anything else — floats, bools (whose ``+=`` is a logical or), tuples,
+    dicts, mixed groups — is forwarded as a batch instead; correctness
+    never rides on a lossy merge.
     """
     from repro.sketch.mergeable import MergeableSketch
 
     first = payloads[0]
     # Arrays first: the structural (Protocol) isinstance check is ~100x slower.
     if isinstance(first, np.ndarray):
-        return first.dtype.kind in "iub" and all(
+        return first.dtype.kind in "iu" and all(
             isinstance(p, np.ndarray)
             and p.shape == first.shape
             and p.dtype == first.dtype

@@ -205,6 +205,17 @@ class TestTreeNetworkUpstream:
         assert isinstance(batched[0].payload, list)
         assert len(batched[0].payload) == 2
 
+    def test_bool_group_batches_instead_of_or_ing(self, monkeypatch):
+        hops = _spy_on_hops(monkeypatch)
+        net = TreeNetwork(_sites(4), tree=TreeSpec.regular(_sites(4), 2))
+        for name in net.tree.site_names:
+            net.send(name, net.coordinator_name, np.array([True, True]), bits=2)
+        # A bool array's += is a logical or, not a sum: never merged.
+        assert net.link_bits()["agg-0-0"] == 4
+        assert net.merges == 0
+        (batched,) = [m for m in hops if m.sender == "agg-0-0"]
+        assert isinstance(batched.payload, list) and len(batched.payload) == 2
+
     def test_multi_level_drain_cascades_bottom_up(self):
         tree = TreeSpec.from_grouping(_sites(4), [[0, [1, 2]], 3])
         net = TreeNetwork(tree.site_names, tree=tree)
