@@ -41,7 +41,7 @@ from repro.comm import bitcost
 from repro.core.result import HeavyHitterOutput
 from repro.engine.base import StarProtocol
 from repro.engine.exchange import star_exchange_item_supports
-from repro.engine.l1 import shard_column_sums
+from repro.engine.l1 import _exact_sums, shard_column_sums
 from repro.engine.linf import _universe_mask_rng
 from repro.engine.lp_norm import check_inner_dims, star_lp_pp_estimate, total_rows_of
 from repro.engine.topology import Coordinator, Site
@@ -350,19 +350,25 @@ class StarHeavyHittersProtocol(StarProtocol):
         b: np.ndarray,
     ) -> float:
         """Step 1: ``||C||_p^p`` — merged column sums (Remark 2) for p = 1,
-        the k-site Algorithm 1 otherwise."""
+        the k-site Algorithm 1 otherwise.
+
+        The column sums merge in float64, as in
+        :class:`~repro.engine.l1.StarExactL1Protocol`: sites whose own sums
+        fit int64 can still overflow it together.
+        """
         if self.p == 1.0:
             site_sums = self.runtime.map(
                 shard_column_sums, [(shard,) for shard in shards]
             )
-            merged = np.zeros(b.shape[0], dtype=np.int64)
+            merged = np.zeros(b.shape[0], dtype=float)
             for site, column_sums in zip(sites, site_sums):
                 bits = column_sums.shape[0] * bitcost.bits_for_int(
                     int(max(column_sums.max(initial=0), 1))
                 )
                 site.send(column_sums, label="hh/column-sums", bits=bits)
                 merged += column_sums
-            return float(merged.astype(float) @ b.sum(axis=1).astype(float))
+            row_sums = _exact_sums(b, 1, "row sum of B")
+            return float(merged @ row_sums.astype(float))
         accuracy = min(0.5, self.epsilon / (4.0 * self.phi))
         estimate, _ = star_lp_pp_estimate(
             coordinator,

@@ -268,6 +268,17 @@ class TestL1SumsAreExact:
         with pytest.raises(ValueError, match="row sum of B is not finite"):
             protocol(seed=1).run([np.ones((3, 2))], a.T.copy())
 
+    def test_heavy_hitter_total_does_not_wrap_across_sites(self):
+        # Each site's column sum fits int64; their merge does not.
+        shards = [np.array([[2**63 - 1]]), np.array([[2**63 - 1]]), np.array([[7]])]
+        protocol = StarHeavyHittersProtocol(0.1, 0.05, seed=1)
+        result = protocol.run(shards, np.ones((1, 1)))
+        assert result.details["total_pp"] == float(2 * (2**63 - 1) + 7)
+        assert (2, 0) not in result.value.pairs  # 4e-19 of the mass
+        b = np.full((1, 2), 2**62, dtype=np.int64)
+        with pytest.raises(ValueError, match="row sum of B does not fit int64"):
+            protocol.run([np.ones((2, 1), dtype=np.int64)], b)
+
     def test_a_single_huge_entry_still_runs(self):
         a = np.zeros((5, 2), dtype=np.int64)
         a[3, 0] = 2**62
