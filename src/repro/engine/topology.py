@@ -129,21 +129,6 @@ class Site:
             universe=universe,
         )
 
-    def partial_summaries(self, *templates: MergeableSketch) -> list[MergeableSketch]:
-        """The shard's partial summaries under shared sketch ``templates``.
-
-        Delegates to :func:`shard_partial_summaries` (the engine's only
-        per-row update route); protocols that fan the same work out across
-        sites call that function through the runtime instead.  The returned
-        sketches share their templates' randomness and merge entrywise at
-        the coordinator.
-        """
-        return shard_partial_summaries(self.rows, self.data, templates)
-
-    def partial_summary(self, template: MergeableSketch) -> MergeableSketch:
-        """The shard's partial summary under one shared sketch ``template``."""
-        return self.partial_summaries(template)[0]
-
     @property
     def bits_sent(self) -> int:
         """Total bits this site has sent so far."""
