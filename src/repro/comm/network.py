@@ -356,10 +356,10 @@ class Network:
                     payload, bits = group[0]
                 elif _payloads_mergeable(payloads):
                     payload = merge_payload_group(payloads)
-                    bits = max(bits for _, bits in group)
+                    bits = max(b for _, b in group)
                     self.merges += 1
                 else:
-                    payload, bits = payloads, sum(bits for _, bits in group)
+                    payload, bits = payloads, sum(b for _, b in group)
                 self._hop_up(agg, payload, label, bits)
         self.merge_seconds += time.perf_counter() - started
 
