@@ -18,7 +18,7 @@ k-site generalization:
   round counter shared by every metered transport.
 * :class:`repro.comm.network.Network` — the one in-process network (k
   sites around a coordinator, routed over the flat star or an aggregation
-  :class:`~repro.comm.tree.TreeSpec`) with per-edge and aggregate meters.
+  :class:`~repro.comm.tree.TreeSpec`) metering each hop once, in one log.
   ``TreeNetwork`` is another name for the same class.
 * :mod:`repro.comm.protocol` — the :class:`~repro.comm.protocol.CostReport`
   / :class:`~repro.comm.protocol.ProtocolResult` containers the two-party

@@ -1,18 +1,18 @@
 """Shared bit/round accounting for metered transports.
 
 Every metered transport — the in-process :class:`repro.comm.network
-.Network`, its aggregate log and each of its per-link logs — charges
-messages the same way: every message carries a bit cost, and a *round*
-counter increments whenever the direction of communication flips.  This
-module holds the common machinery so the meters cannot drift apart.
+.Network` and its socket subclass's wire meter — records each message once,
+into one log, and charges it the same way: every message carries a bit
+cost, and a *round* counter increments whenever the direction of
+communication flips.  Per-edge readings are reads of that log.
 
 The meters keep **counts, not messages**.  A :class:`MessageLog` holds one
 integer per ``(round, sender, receiver, label)`` *cell*, in the order the
-cells first appear, plus a running total and per-sender totals; no payload
-is ever kept.  So a log's size is bounded by the number of distinct cells,
-not by how many messages it metered: a streaming session that ships one
-delta per site per epoch, all upstream, stays at one cell per edge however
-long it runs.
+cells first appear, plus running totals overall, per sender and per
+``(sender, receiver)`` pair; no payload is ever kept.  So a log's size is
+bounded by the number of distinct cells, not by how many messages it
+metered: a streaming session that ships one delta per site per epoch, all
+upstream, stays at one cell per edge however long it runs.
 
 Round semantics
 ---------------
@@ -24,7 +24,7 @@ network the key is the up/down direction, so k sites uploading their
 summaries one after another share a single round — they could do so in
 parallel — while a coordinator reply opens a new one.  On any individual
 coordinator-site link the two notions coincide, which is what makes the
-per-link meters of a ``Network`` directly comparable to a two-party run
+per-link views of a ``Network`` directly comparable to a two-party run
 (the one-leaf star).
 """
 
@@ -56,10 +56,11 @@ class Message:
 class MessageLog:
     """Bit and round meter over running counts, with no payload kept.
 
-    Transports (network links and network aggregates) own one log each and
-    feed it via :meth:`record`; all derived statistics — totals, per-sender
-    bits, per-label and per-round breakdowns — live here.  ``total_bits``,
-    ``rounds`` and :meth:`bits_sent_by` are O(1); the breakdowns and the
+    A network owns one log per metering convention and feeds it via
+    :meth:`record`; all derived statistics — totals, per-sender and
+    per-pair bits, per-label and per-round breakdowns, one edge's own
+    log — live here.  ``total_bits``, ``rounds``, :meth:`bits_sent_by` and
+    :meth:`bits_between` are O(1); the breakdowns, :meth:`between` and the
     :attr:`messages` view are O(cells).
     """
 
@@ -68,6 +69,7 @@ class MessageLog:
         self._cells: dict[tuple[int, str, str, str], int] = {}
         self._total_bits = 0
         self._sender_bits: Counter[str] = Counter()
+        self._pair_bits: Counter[tuple[str, str]] = Counter()
         self._last_key: Hashable | None = None
         self._round = 0
 
@@ -97,6 +99,7 @@ class MessageLog:
         self._cells[cell] = self._cells.get(cell, 0) + bits
         self._total_bits += bits
         self._sender_bits[sender] += bits
+        self._pair_bits[sender, receiver] += bits
 
     # ------------------------------------------------------------ accounting
     @property
@@ -123,6 +126,24 @@ class MessageLog:
     def bits_sent_by(self, sender: str) -> int:
         """Total bits sent by one endpoint."""
         return self._sender_bits.get(sender, 0)
+
+    def bits_between(self, a: str, b: str) -> int:
+        """Total bits sent either way between two endpoints."""
+        return self._pair_bits.get((a, b), 0) + self._pair_bits.get((b, a), 0)
+
+    def between(self, a: str, b: str) -> "MessageLog":
+        """The traffic between two endpoints as a fresh log with two-party
+        (sender-flip) rounds: the pair's cells replayed in stored order,
+        0-bit cells included.  Where each round of this log carries the
+        pair's traffic one way only (a network's parent-child edge), that
+        rebuilds the log the pair's own meter would keep; sorting the cells
+        would reorder labels within a round."""
+        log = MessageLog()
+        pairs = {(a, b), (b, a)}
+        for (_, sender, receiver, label), bits in self._cells.items():
+            if (sender, receiver) in pairs:
+                log.record(sender, receiver, label=label, bits=bits)
+        return log
 
     def bits_by_label(self) -> dict[str, int]:
         """Total bits grouped by message label (for cost breakdowns)."""
@@ -159,6 +180,7 @@ class MessageLog:
         self._cells.clear()
         self._total_bits = 0
         self._sender_bits.clear()
+        self._pair_bits.clear()
         self._last_key = None
         self._round = 0
 

@@ -26,10 +26,10 @@ meters' memory does not grow with the traffic they meter):
   round (they could do so in parallel), while a coordinator reply opens a
   new one.  With a single site this reduces exactly to the two-party
   definition.
-* a *per-link* log per tree edge, keyed by the edge's child endpoint (a
-  site or an aggregator), meters the same quantities restricted to that
-  edge, with the two-party (sender-flip) round semantics.
-  ``max_link_bits`` is the busiest edge.
+* each hop is recorded into that log once.  Per-edge readings, keyed by
+  the edge's child endpoint (a site or an aggregator), are reads of it;
+  ``link(child)`` replays the edge's cells with the two-party
+  (sender-flip) round semantics.  ``max_link_bits`` is the busiest edge.
 * payloads live only while they are in flight: the protocol bodies hold
   their own, and an aggregator holds its staged uploads until the next
   meter read or direction flip drains them.  Totals, rounds and
@@ -172,9 +172,6 @@ class Network:
         self.conditions = conditions if conditions is not None else NetworkConditions()
         self._validate_conditions()
         self._site_set = set(site_names)
-        self.links: dict[str, MessageLog] = {
-            name: MessageLog() for name in site_names + self.tree.aggregators
-        }
         self.log = MessageLog()
         #: ``(label, payload, bits)`` uploads per aggregator that holds any,
         #: so ``not self._staged`` is the O(1) empty check.
@@ -305,7 +302,7 @@ class Network:
         would be wrong for it).  On a flat network a site's hop is its whole
         upload, metered exactly as :meth:`send` would.
         """
-        if child not in self.links:
+        if child not in self.tree.parent:
             raise ValueError(f"unknown tree edge {child!r}")
         if bits is None:
             bits = bitcost.bits_for_payload(payload)
@@ -315,12 +312,15 @@ class Network:
     def _record_hop(
         self, child: str, direction: str, payload: Any, label: str, bits: int
     ) -> None:
+        self._meter(self.log, child, direction, label, bits)
+
+    def _meter(
+        self, log: MessageLog, child: str, direction: str, label: str, bits: int
+    ) -> None:
+        """Record one hop on ``child``'s edge into ``log``; rounds flip on up/down."""
         parent = self.tree.parent[child]
         sender, receiver = (child, parent) if direction == UPSTREAM else (parent, child)
-        self.log.record(
-            sender, receiver, label=label, bits=bits, direction_key=direction
-        )
-        self.links[child].record(sender, receiver, label=label, bits=bits)
+        log.record(sender, receiver, label=label, bits=bits, direction_key=direction)
 
     # ------------------------------------------------------------------ drain
     def _hop_up(self, child: str, payload: Any, label: str, bits: int) -> None:
@@ -394,28 +394,30 @@ class Network:
         return self.log.bits_per_round()
 
     def link(self, child: str) -> MessageLog:
-        """The per-edge meter keyed by one child endpoint."""
+        """One edge's meter, keyed by its child endpoint: its cells replayed
+        from :attr:`log` with sender-flip rounds (:meth:`MessageLog.between`)."""
         self._drain()
-        return self.links[child]
+        return self.log.between(child, self.tree.parent[child])
+
+    def _edge_bits(self, log: MessageLog, edges: Iterable[str]) -> dict[str, int]:
+        """Both directions' bits in ``log`` on each edge, keyed by its child."""
+        parent = self.tree.parent
+        return {child: log.bits_between(child, parent[child]) for child in edges}
 
     def link_bits(self) -> dict[str, int]:
         """Per-edge load: total bits on each edge, keyed by its child."""
         self._drain()
-        return {name: meter.total_bits for name, meter in self.links.items()}
+        return self._edge_bits(self.log, self.site_names + self.tree.aggregators)
 
     @property
     def max_link_bits(self) -> int:
         """Load of the busiest edge."""
-        self._drain()
-        return max(meter.total_bits for meter in self.links.values())
+        return max(self.link_bits().values())
 
     def root_link_bits(self) -> dict[str, int]:
         """Bits on the root's ingress edges only — the fan-in bottleneck."""
         self._drain()
-        return {
-            child: self.links[child].total_bits
-            for child in self.tree.children[self.tree.root]
-        }
+        return self._edge_bits(self.log, self.tree.children[self.tree.root])
 
     @property
     def max_root_link_bits(self) -> int:
@@ -452,8 +454,6 @@ class Network:
         """Clear all recorded traffic and staged uploads on every edge."""
         self._staged.clear()
         self.log.reset()
-        for meter in self.links.values():
-            meter.reset()
         self.merge_seconds = 0.0
         self.merges = 0
 

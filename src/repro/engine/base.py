@@ -74,13 +74,14 @@ class ClusterCostReport:
     @classmethod
     def from_network(cls, network: Network) -> "ClusterCostReport":
         makespan, makespan_per_round = network.simulate()
+        link_bits = network.link_bits()
         return cls(
             total_bits=network.total_bits,
             rounds=network.rounds,
             coordinator_bits=network.bits_sent_by(network.coordinator_name),
             site_bits={name: network.bits_sent_by(name) for name in network.site_names},
-            link_bits=network.link_bits(),
-            max_link_bits=network.max_link_bits,
+            link_bits=link_bits,
+            max_link_bits=max(link_bits.values()),
             breakdown=network.bits_by_label(),
             per_round=network.bits_per_round(),
             makespan=makespan,

@@ -916,13 +916,7 @@ class StreamingSession(EstimatorBase):
         session the aggregators' relays of merged bundles are metered on
         the network too, but they re-ship bytes the sites already sent.
         """
-        return (
-            sum(
-                self.network.link(site.name).bits_sent_by(site.name)
-                for site in self.sites
-            )
-            // 8
-        )
+        return sum(self.network.bits_sent_by(site.name) for site in self.sites) // 8
 
     # ----------------------------------------------------------- live queries
     def _robust_sketch(self, key: str) -> MergeableSketch | None:

@@ -17,11 +17,11 @@ without touching a line of protocol code:
     fails loudly.  Makespans are priced by the in-process network's one
     model: fan-in serialized per receiver, the flat star included.
 
-    The network keeps **three** independent meters:
+    The network keeps **three** independent meters, each fed a hop once:
 
-    * the inherited simulated meter — the paper-convention formula bits,
+    * the inherited simulated log — the paper-convention formula bits,
       bit-identical to an in-process run of the same protocol;
-    * a *wire meter* (same round structure) charging 8 bits per actually
+    * a *wire log* (same round structure) charging 8 bits per actually
       encoded payload byte — the service's billing convention, and the
       convention the streaming runtime already uses in-process;
     * *observed* byte counters per edge per round, measured at the socket
@@ -194,12 +194,12 @@ class RemoteNetwork(Network):
       payload (the whole point of the tree); the aggregator's own edge
       then carries the merged payload computed at drain time.
 
-    Accounting: the inherited simulated meters, plus per-*edge* wire
-    meters (8 bits per encoded payload byte) and observed socket bytes,
-    with the service invariant ``observed * 8 == wire bits`` holding per
-    edge per round.  Aggregator merges for the metered transcript are
-    computed coordinator-side, in the inherited one-pass drain on the
-    calling thread, and the edges relay the resulting bytes.
+    Accounting: the inherited simulated log, plus a wire log (8 bits per
+    encoded payload byte) read per edge the same way, and observed socket
+    bytes per edge and round: ``observed * 8 == wire bits`` per edge per
+    round.  Aggregator merges for the metered transcript are computed
+    coordinator-side, in the inherited one-pass drain on the calling
+    thread, and the edges relay the resulting bytes.
     """
 
     def __init__(
@@ -224,7 +224,7 @@ class RemoteNetwork(Network):
                 "the socket transport supports aggregation trees of depth "
                 f"<= 2 (aggregators as root children); got depth {tree.depth}"
             )
-        edges = list(self.links)  # sites, then aggregators
+        edges = self.site_names + tree.aggregators
         missing = [name for name in edges if name not in links]
         if missing:
             raise ServiceError(
@@ -240,9 +240,7 @@ class RemoteNetwork(Network):
         self.backoff = float(backoff)
         self._on_retry = on_retry
         self.wire_log = MessageLog()
-        self.wire_links: dict[str, MessageLog] = {name: MessageLog() for name in edges}
-        #: Socket-observed payload bytes, per edge and per (edge, round).
-        self.observed_link_bytes: Counter[str] = Counter()
+        #: Socket-observed payload bytes per (edge, round).
         self.observed_round_bytes: dict[str, Counter[int]] = {
             name: Counter() for name in edges
         }
@@ -294,22 +292,6 @@ class RemoteNetwork(Network):
                 f"site {top!r} answered a round open with {opened.type!r}"
             )
 
-    def _observe(self, edge: str, round_index: int, nbytes: int) -> None:
-        self.observed_link_bytes[edge] += nbytes
-        self.observed_round_bytes[edge][round_index] += nbytes
-
-    def _wire(
-        self, edge: str, direction: str, label: str, body_bytes: int
-    ) -> None:
-        parent = self.tree.parent[edge]
-        sender, receiver = (
-            (edge, parent) if direction == UPSTREAM else (parent, edge)
-        )
-        self.wire_log.record(
-            sender, receiver, label=label, bits=8 * body_bytes, direction_key=direction
-        )
-        self.wire_links[edge].record(sender, receiver, label=label, bits=8 * body_bytes)
-
     # ------------------------------------------------------------- crossings
     def _record_hop(
         self, child: str, direction: str, payload: Any, label: str, bits: int
@@ -352,7 +334,7 @@ class RemoteNetwork(Network):
                 )
             decode_payload(reply.payload)
             for rnd, nbytes in link.take_observed_upstream():
-                self._observe(child, rnd, nbytes)
+                self.observed_round_bytes[child][rnd] += nbytes
         else:
             # Routed leaf edge: the leaf echoed to its aggregator, which
             # counted the bytes off ITS socket and reported them — the
@@ -371,8 +353,8 @@ class RemoteNetwork(Network):
                     f"({str(reply.meta.get('digest'))[:12]}...)",
                     site=child,
                 )
-            self._observe(child, round_index, observed)
-        self._wire(child, UPSTREAM, label, body_bytes)
+            self.observed_round_bytes[child][round_index] += observed
+        self._meter(self.wire_log, child, UPSTREAM, label, 8 * body_bytes)
 
     def _deliver_downstream(
         self, edge_children: Sequence[str], payload: Any, label: str, bits: int
@@ -420,8 +402,8 @@ class RemoteNetwork(Network):
                     f"{observed} ({str(reply.meta.get('digest'))[:12]}...)",
                     site=top,
                 )
-            self._observe(top, round_index, observed)
-            self._wire(top, DOWNSTREAM, label, body_bytes)
+            self.observed_round_bytes[top][round_index] += observed
+            self._meter(self.wire_log, top, DOWNSTREAM, label, 8 * body_bytes)
             children_meta = reply.meta.get("children", {})
             for child in groups[top]:
                 entry = children_meta.get(child)
@@ -436,23 +418,23 @@ class RemoteNetwork(Network):
                         f"{entry})",
                         site=child,
                     )
-                self._observe(child, round_index, int(entry["observed"]))
-                self._wire(child, DOWNSTREAM, label, body_bytes)
+                self.observed_round_bytes[child][round_index] += int(entry["observed"])
+                self._meter(self.wire_log, child, DOWNSTREAM, label, 8 * body_bytes)
 
     # ------------------------------------------------------------ accounting
     def wire_link_bits(self) -> dict[str, int]:
         """Per-edge wire-metered bits (8 per encoded payload byte)."""
         self._drain()
-        return {name: log.total_bits for name, log in self.wire_links.items()}
-
-    @property
-    def observed_total_bytes(self) -> int:
-        self._drain()
-        return sum(self.observed_link_bytes.values())
+        return self._edge_bits(self.wire_log, self.site_names + self.tree.aggregators)
 
     def service_report(self) -> dict[str, Any]:
         """The observed-vs-metered summary shipped with every answer."""
         link_bits = self.link_bits()
+        observed_link_bytes = {
+            name: sum(rounds.values())
+            for name, rounds in self.observed_round_bytes.items()
+            if rounds
+        }
         return {
             "rounds": self.rounds,
             "simulated_bits": self.total_bits,
@@ -460,8 +442,8 @@ class RemoteNetwork(Network):
             "wire_bits": self.wire_log.total_bits,
             "wire_link_bits": self.wire_link_bits(),
             "wire_round_bits": self.wire_log.bits_per_round(),
-            "observed_bytes": self.observed_total_bytes,
-            "observed_link_bytes": dict(self.observed_link_bytes),
+            "observed_bytes": sum(observed_link_bytes.values()),
+            "observed_link_bytes": observed_link_bytes,
             "observed_round_bytes": {
                 name: dict(rounds)
                 for name, rounds in self.observed_round_bytes.items()
@@ -475,9 +457,6 @@ class RemoteNetwork(Network):
     def reset(self) -> None:
         super().reset()
         self.wire_log.reset()
-        for log in self.wire_links.values():
-            log.reset()
-        self.observed_link_bytes.clear()
         for rounds in self.observed_round_bytes.values():
             rounds.clear()
         self._notified_round = {
