@@ -62,9 +62,6 @@ class TreeSpec:
                 if kid == root:
                     raise ValueError("the root cannot be a child")
                 seen[kid] = parent
-        orphans = (set(children) - {root}) - set(seen)
-        if orphans:
-            raise ValueError(f"aggregators {sorted(orphans)} are unreachable from the root")
         self.root = root
         self.parent: dict[str, str] = seen
         self.children: dict[str, tuple[str, ...]] = children
@@ -81,6 +78,10 @@ class TreeSpec:
                 stack.extend(reversed(children[node]))
             else:
                 leaves.append(node)
+        # Keys the walk missed: nobody's child, or on a cycle detached from the root.
+        unreached = set(children) - {root} - set(aggregators)
+        if unreached:
+            raise ValueError(f"aggregators {sorted(unreached)} are unreachable from the root")
         if site_names is not None:
             site_names = list(site_names)
             if sorted(site_names) != sorted(leaves):

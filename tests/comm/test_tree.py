@@ -110,6 +110,19 @@ class TestTreeSpecValidation:
         with pytest.raises(ValueError, match="unreachable"):
             TreeSpec({"coordinator": ["s0"], "agg": ["s1"]})
 
+    @pytest.mark.parametrize("cycle_kids", [["agg-x"], ["agg-x", "site-2"]])
+    def test_detached_cycle_rejected(self, cycle_kids):
+        """Every aggregator on the cycle has a parent, yet the root's walk
+        never reaches it; accepting such a spec would hang region expansion
+        and drop the cycle's sites from ``site_names``."""
+        children_of = {
+            "coordinator": ["site-0", "site-1"],
+            "agg-x": ["agg-y"],
+            "agg-y": cycle_kids,
+        }
+        with pytest.raises(ValueError, match=r"\['agg-x', 'agg-y'\] are unreachable"):
+            TreeSpec(children_of)
+
     def test_childless_node_rejected(self):
         with pytest.raises(ValueError, match="no children"):
             TreeSpec({"coordinator": ["agg"], "agg": []})
