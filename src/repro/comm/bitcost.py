@@ -116,8 +116,10 @@ def bits_for_payload(payload: object, *, universe: int | None = None) -> int:
 
     Used by the channel when the sender does not provide an explicit cost.
     Supported payload types: ``int``, ``float``, ``numpy.ndarray``, ``list`` /
-    ``tuple`` / ``set`` of ints (requires ``universe``), ``dict`` (sum over
-    values, keys charged as indices of ``universe``), ``None`` (free).
+    ``tuple`` / ``set`` (of ints: an index list of ``universe`` when given,
+    else each int plus the length), ``dict`` (the length plus every key and
+    value by these rules: an ``int`` key costs :func:`bits_for_int` whatever
+    ``universe`` is), ``None`` (free).
     """
     if payload is None:
         return 0

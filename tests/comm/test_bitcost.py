@@ -96,6 +96,11 @@ class TestBitsForPayload:
         cost = bitcost.bits_for_payload(payload)
         assert cost > 5 * bitcost.INT_ENTRY_BITS or cost > 0
 
+    def test_int_dict_keys_are_charged_as_ints_not_indices(self):
+        # The length (2 bits), the key 5 as an int (4 bits, not the 10 bits
+        # of an index of 1024) and the float value (64 bits).
+        assert bitcost.bits_for_payload({5: 1.0}, universe=1024) == 2 + 4 + 64
+
     def test_unknown_type_raises(self):
         with pytest.raises(TypeError):
             bitcost.bits_for_payload(object())
