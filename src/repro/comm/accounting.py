@@ -139,9 +139,8 @@ class MessageLog:
         rebuilds the log the pair's own meter would keep; sorting the cells
         would reorder labels within a round."""
         log = MessageLog()
-        pairs = {(a, b), (b, a)}
         for (_, sender, receiver, label), bits in self._cells.items():
-            if (sender, receiver) in pairs:
+            if (sender == a and receiver == b) or (sender == b and receiver == a):
                 log.record(sender, receiver, label=label, bits=bits)
         return log
 

@@ -17,7 +17,7 @@ without touching a line of protocol code:
     fails loudly.  Makespans are priced by the in-process network's one
     model: fan-in serialized per receiver, the flat star included.
 
-    The network keeps **three** independent meters, each fed a hop once:
+    The network keeps **three** independent meters:
 
     * the inherited simulated log — the paper-convention formula bits,
       bit-identical to an in-process run of the same protocol;
