@@ -64,6 +64,28 @@ class TestStackedKWiseHash:
             expected = np.concatenate([h.values(some_keys) for h in hashes])
             assert np.array_equal(kernels.joint_values(hashes, some_keys), expected)
 
+    @pytest.mark.parametrize("low", [0, 2**32])
+    def test_values_grid_evaluates_each_row_at_its_own_keys(self, low):
+        """Row ``r`` of the grid is row ``r`` of ``values(keys[r])``, and
+        the per-row ``KWiseHash`` member's value there.
+
+        From ``2**32`` up the keys take the full split multiply; the grid
+        also holds the field's edges and the largest int64 key.
+        """
+        depth = 3
+        stacked = StackedKWiseHash(4, depth, np.random.default_rng(35))
+        member_rng = np.random.default_rng(35)
+        members = [KWiseHash(4, member_rng) for _ in range(depth)]
+        rng = np.random.default_rng(36)
+        keys = rng.integers(low, 2**63 - 1, size=(depth, 17, 5), endpoint=True)
+        keys[0, 0, :] = [2**32, PRIME_61 - 1, PRIME_61, 2**62, 2**63 - 1]
+        grid = stacked.values_grid(keys)
+        assert grid.dtype == np.uint64 and grid.shape == keys.shape
+        for row in range(depth):
+            flat = stacked.values(keys[row].reshape(-1))[row]
+            assert grid[row].tobytes() == flat.reshape(17, 5).tobytes()
+            assert grid[row].tobytes() == members[row].values(keys[row]).tobytes()
+
     def test_small_and_large_key_paths_agree(self):
         """The < 2^32 fast multiply must be exact, not approximately so."""
         stacked = StackedKWiseHash(4, 3, np.random.default_rng(5))
@@ -206,6 +228,40 @@ class TestScatterKernels:
         out2 = bincount_rows(rows, matrix_weights, 11, exact_int=False)
         np.testing.assert_array_equal(out2, indicator @ matrix_weights)
         assert out2.dtype == np.float64
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_exact_int_bincount_rows_wraps_like_int64_indexed_adds(self, ndim):
+        """Sums past ``2**63`` wrap mod ``2**64``, as int64 adds do; they
+        neither saturate nor trap."""
+        rng = np.random.default_rng(37)
+        size = (64,) if ndim == 1 else (64, 3)
+        rows = rng.integers(0, 7, size=64)
+        signs = rng.choice(np.array([-1, 1]), size=size)
+        weights = signs * rng.integers(2**62 - 2**40, 2**62, size=size, endpoint=True)
+        want = np.zeros((7,) + size[1:], dtype=np.int64)
+        np.add.at(want, rows, weights)
+        got = bincount_rows(rows, weights, 7, exact_int=True)
+        assert got.dtype == np.int64
+        assert got.tobytes() == want.tobytes()
+        exact = np.zeros(want.shape, dtype=object)
+        np.add.at(exact, rows, weights.astype(object))
+        wrapped = [(int(total) + 2**63) % 2**64 - 2**63 for total in exact.flat]
+        assert got.reshape(-1).tolist() == wrapped
+        assert any(not -(2**63) <= total < 2**63 for total in exact.flat)
+
+    def test_float_bincount_rows_sums_each_column_in_batch_order(self):
+        """Fractional 2-D weights: every column equals its own ``np.bincount``,
+        which fixes the association (each cell sums its batch in order)."""
+        rng = np.random.default_rng(38)
+        rows = rng.integers(0, 23, size=307)
+        weights = rng.normal(size=(307, 5)) * 10.0 ** rng.integers(-3, 4, size=5)
+        want = np.stack(
+            [np.bincount(rows, weights=weights[:, col], minlength=23) for col in range(5)],
+            axis=1,
+        )
+        got = bincount_rows(rows, weights, 23, exact_int=False)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
 
 
 class TestLevelExpansion:
