@@ -28,6 +28,7 @@ import numpy as np
 from repro.comm.protocol import ProtocolResult
 from repro.engine.api import ClusterEstimator, EstimatorBase, is_binary_data
 from repro.engine.base import StarProtocol
+from repro.engine.topology import check_finite
 
 
 class MatrixProductEstimator(EstimatorBase):
@@ -64,6 +65,8 @@ class MatrixProductEstimator(EstimatorBase):
             raise ValueError("a and b must be 2-dimensional matrices")
         if a.shape[1] != b.shape[0]:
             raise ValueError(f"inner dimensions differ: {a.shape} vs {b.shape}")
+        check_finite(a, "A")
+        check_finite(b, "B")
         self.a = a
         self.b = b
         self.is_binary = is_binary_data(a, b)

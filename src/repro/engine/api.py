@@ -56,7 +56,7 @@ from repro.engine.linf import (
     StarTwoPlusEpsilonLinfProtocol,
 )
 from repro.engine.lp_norm import StarLpNormProtocol
-from repro.engine.topology import coerce_shards
+from repro.engine.topology import check_finite, coerce_shards
 
 __all__ = ["ClusterEstimator", "EstimatorBase", "is_binary_data"]
 
@@ -238,6 +238,9 @@ class ClusterEstimator(EstimatorBase):
             raise ValueError(
                 f"inner dimensions differ: shard {shards[0].shape} vs B {b.shape}"
             )
+        for shard in shards:
+            check_finite(shard, "A")
+        check_finite(b, "B")
         self.shards = shards
         self.b = b
         self.is_binary = is_binary_data(*shards, b)

@@ -61,7 +61,7 @@ from repro.core.result import HeavyHitterOutput, SampleOutput
 from repro.engine.api import EstimatorBase, is_binary_data
 from repro.engine.base import StarProtocol
 from repro.engine.l0_sampling import finish_l0_sample
-from repro.engine.topology import normalize_tree
+from repro.engine.topology import check_finite, normalize_tree
 from repro.engine.robust import RobustPolicy, robust_merge_states
 from repro.engine.runtime import (
     SERIAL_RUNTIME,
@@ -359,6 +359,7 @@ class StreamingSession(EstimatorBase):
         b = np.asarray(b)
         if b.ndim != 2:
             raise ValueError("b must be a 2-dimensional matrix")
+        check_finite(b, "B")
         self.b = b
         # B is static for the session's lifetime: both live-query views are
         # materialized once.  Integer dtypes widen to int64 for the exact

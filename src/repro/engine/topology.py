@@ -72,6 +72,17 @@ def coerce_shards(shards: Sequence[Any]) -> list[np.ndarray]:
     return shards
 
 
+def check_finite(matrix: np.ndarray, name: str) -> None:
+    """Raise ``ValueError`` if ``matrix`` holds a NaN or an infinity.
+
+    The sketches and products would turn either into NaN or into a silent
+    wrong estimate.  Integer and boolean matrices hold neither, so only
+    float dtypes pay for the scan.
+    """
+    if matrix.dtype.kind in "fc" and not np.isfinite(matrix).all():
+        raise ValueError(f"{name} has NaN or infinite entries")
+
+
 class Site:
     """One leaf of the star, holding a row-shard of the global matrix.
 

@@ -40,7 +40,7 @@ from repro.comm.conditions import NetworkConditions
 from repro.comm.framing import FrameDecoder, FramingError, encode_frame, encode_frames
 from repro.comm import wire
 from repro.comm.tree import TreeSpec
-from repro.engine.topology import normalize_tree
+from repro.engine.topology import check_finite, normalize_tree
 from repro.engine.runtime import QuorumPolicy
 from repro.service.messages import (
     PAYLOAD_TAG_BYTES,
@@ -389,6 +389,7 @@ class CoordinatorServer:
         if num_sites < 0:
             raise ValueError(f"num_sites must be >= 0, got {num_sites}")
         self.b = np.asarray(b)
+        check_finite(self.b, "B")
         self.num_sites = int(num_sites)
         self.expected_row_counts = (
             None if expected_row_counts is None else [int(n) for n in expected_row_counts]
@@ -703,6 +704,7 @@ class CoordinatorServer:
                 f"site {name!r} uploaded {shard.shape[0]} rows, expected "
                 f"{self.expected_row_counts[index]}"
             )
+        check_finite(shard, f"the shard of site {name!r}")
         return shard
 
     def _expected_links(self) -> int:

@@ -24,6 +24,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             MatrixProductEstimator(np.ones((3, 4)), np.ones((3, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        """One infinity in A used to make ``lp_norm(2)`` answer 0.0."""
+        matrix = np.ones((4, 4))
+        matrix[2, 1] = bad
+        with pytest.raises(ValueError, match="A has NaN or infinite entries"):
+            MatrixProductEstimator(matrix, np.ones((4, 3)))
+        with pytest.raises(ValueError, match="B has NaN or infinite entries"):
+            MatrixProductEstimator(np.ones((3, 4)), matrix)
+
     def test_detects_binary_inputs(self):
         a, b = random_binary_pair(16, seed=81)
         assert MatrixProductEstimator(a, b).is_binary

@@ -192,6 +192,26 @@ class TestValidation:
         with pytest.raises(ValueError, match="inner dimensions"):
             ClusterEstimator([a[:, :-1]], b)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_cluster_estimator_rejects_non_finite_entries(self, bad, dtype):
+        """One NaN or infinity in A or B used to give a silent estimate:
+        ``lp_norm(2)`` read 15,082 (NaN in A) or 0.0 (NaN in B) against the
+        exact 15,986 here, and ``lp_norm(0)`` 114 against 120."""
+        rng = np.random.default_rng(0)
+        a = rng.integers(0, 3, (20, 8)).astype(dtype)
+        b = rng.integers(0, 3, (8, 6)).astype(dtype)
+        bad_a, bad_b = a.copy(), b.copy()
+        bad_a[13, 2] = bad  # in the second shard
+        bad_b[1, 1] = bad
+        with pytest.raises(ValueError, match="A has NaN or infinite entries"):
+            ClusterEstimator.from_matrix(bad_a, b, 2, seed=1)
+        with pytest.raises(ValueError, match="A has NaN or infinite entries"):
+            ClusterEstimator([a[:10], bad_a[10:]], b, seed=1)
+        with pytest.raises(ValueError, match="B has NaN or infinite entries"):
+            ClusterEstimator.from_matrix(a, bad_b, 2, seed=1)
+        assert ClusterEstimator.from_matrix(a, b, 2, seed=1).lp_norm(2, 0.3).value == 15986.0
+
     def test_from_matrix_bounds_num_sites(self, binary_pair):
         a, b = binary_pair
         with pytest.raises(ValueError, match="num_sites"):

@@ -368,6 +368,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="site names"):
             StreamingSession([4, 4], b, site_names=["only-one"])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_constructor_rejects_non_finite_b(self, binary_pair, bad):
+        """A NaN in B used to answer ``live_lp_norm(2)`` with NaN and
+        ``lp_norm(2)`` with 0.0."""
+        from repro.engine.streaming import StreamingSession
+
+        _, b = binary_pair
+        b = b.astype(float)
+        b[1, 1] = bad
+        with pytest.raises(ValueError, match="B has NaN or infinite entries"):
+            StreamingSession([4, 4], b)
+
     def test_ingest_rejects_bad_updates(self, binary_pair):
         a, b = binary_pair
         session = ClusterEstimator.from_matrix(a, b, 2, seed=61).stream()

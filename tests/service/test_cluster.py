@@ -20,13 +20,15 @@ from __future__ import annotations
 
 import pickle
 import pickletools
+import threading
 
 import numpy as np
 import pytest
 
 from repro import ClusterEstimator
-from repro.service.client import local_cluster
+from repro.service.client import SiteAgent, local_cluster
 from repro.service.messages import ServiceError
+from repro.service.server import CoordinatorServer
 
 SEED = 7
 NUM_SITES = 4
@@ -226,3 +228,49 @@ class TestErrors:
     def test_remote_exception_carries_its_type_and_message(self, cluster):
         with pytest.raises(ServiceError, match="ValueError"):
             cluster["client"].query("lp_norm", p=17.0, epsilon=0.3)
+
+
+class TestNonFiniteData:
+    """A NaN or infinite shard is refused at upload, not at readiness.
+
+    Before, the server registered the shard, failed to build its
+    estimator when the last site arrived, and never became ready, while
+    the site agent returned without an error.
+    """
+
+    def test_non_finite_shard_is_refused_and_the_index_stays_free(self):
+        server = CoordinatorServer(
+            np.ones((3, 2)), num_sites=1, seed=SEED, host="127.0.0.1", port=0
+        ).start()
+        bad = np.ones((4, 3))
+        bad[1, 1] = np.nan
+        refusals: list[ServiceError] = []
+
+        def register(shard):
+            try:
+                SiteAgent("127.0.0.1", server.port, 0, shard).run()
+            except ServiceError as exc:
+                refusals.append(exc)
+
+        threads = [
+            threading.Thread(target=register, args=(shard,), daemon=True)
+            for shard in (bad, np.ones((4, 3)))
+        ]
+        try:
+            threads[0].start()
+            threads[0].join(10.0)
+            assert not threads[0].is_alive(), "the NaN shard was registered"
+            assert len(refusals) == 1
+            assert "NaN or infinite entries" in str(refusals[0])
+            assert not server.wait_ready(0.2)
+            threads[1].start()
+            assert server.wait_ready(30.0)
+        finally:
+            server.stop()
+            for thread in threads:
+                if thread.ident is not None:
+                    thread.join(10.0)
+
+    def test_non_finite_b_is_refused_at_construction(self):
+        with pytest.raises(ValueError, match="B has NaN or infinite entries"):
+            CoordinatorServer(np.full((3, 2), np.inf), num_sites=1)
