@@ -596,7 +596,13 @@ class StreamingSession(EstimatorBase):
         self._check_open("ingest")
         self._check_site_index(site)
         target = self.sites[site]
-        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+        rows = np.asarray(rows)
+        # Fractional row indices are rejected like the deltas below, never
+        # truncated onto a neighbouring row.
+        if not np.issubdtype(rows.dtype, np.integer):
+            if not wire.is_exact_integer_valued(rows):
+                raise ValueError("rows must be integer-valued global row indices")
+        rows = rows.astype(np.int64).reshape(-1)
         deltas = np.asarray(deltas)
         # Every delta — float *or* integer dtype — must be an integer within
         # the float64-exact range +-2**53: the AMS and CountSketch monitor

@@ -393,6 +393,30 @@ class TestValidation:
         with pytest.raises(ValueError, match="range"):
             session.ingest(0, [offset], np.ones((1, b.shape[0]), dtype=np.int64))
 
+    @pytest.mark.parametrize("rows", [[1.7], [-0.5], [np.nan], [0.0, 2.5]])
+    def test_ingest_rejects_fractional_rows(self, binary_pair, rows):
+        """Rows are rejected, never truncated: ``[1.7]`` used to update
+        row 1, and ``[-0.5]`` row 0 after passing the range check."""
+        a, b = binary_pair
+        session = ClusterEstimator.from_matrix(a, b, 2, seed=61).stream()
+        deltas = np.ones((len(rows), b.shape[0]), dtype=np.int64)
+        shard = session.sites[0].shard.copy()
+        with pytest.raises(ValueError, match="rows must be integer-valued"):
+            session.ingest(0, rows, deltas)
+        assert session.sites[0].pending_updates == 0
+        assert session.sites[0].shard.tobytes() == shard.tobytes()
+
+    def test_ingest_accepts_integer_valued_float_rows(self, binary_pair):
+        a, b = binary_pair
+        deltas = np.ones((2, b.shape[0]), dtype=np.int64)
+        floats = ClusterEstimator.from_matrix(a, b, 2, seed=61).stream()
+        ints = ClusterEstimator.from_matrix(a, b, 2, seed=61).stream()
+        floats.ingest(0, np.array([1.0, 3.0]), deltas)
+        ints.ingest(0, [1, 3], deltas)
+        floats.sync()
+        ints.sync()
+        assert floats.live_lp_norm(2.0) == ints.live_lp_norm(2.0)
+
     @pytest.mark.parametrize("site", [-1, 3, 99])
     def test_drop_and_restore_reject_the_same_indices(self, binary_pair, site):
         a, b = binary_pair
