@@ -2,20 +2,17 @@
 """CI gate for the threaded streaming path (the ``parallel-smoke`` job).
 
 Runs the same streamed workload through a serial session and through a
-session on ``Runtime("threads")``, under whatever kernel backend
-``REPRO_KERNELS`` selects, and gates on two things:
+session on ``Runtime("threads")``, and gates on two things:
 
-1. **No crashes** — the thread pool and the compiled kernels must survive
-   a real multi-epoch run with the worker count ``REPRO_WORKERS``
-   requests.
+1. **No crashes** — the thread pool must survive a real multi-epoch run
+   with the worker count ``REPRO_WORKERS`` requests.
 2. **Bit-exactness** — every epoch report, the byte meter and all merged
    summary states must equal the serial run's, byte for byte.  The
-   executor and the compiled kernels are performance choices, never
-   semantics.
+   executor is a performance choice, never semantics.
 
 The threads/serial throughput ratio is printed, not gated: on a 2-CPU
-host it ranged from 0.92x to 1.06x over ten runs under both kernel
-backends, so a floor at serial throughput would flake.
+host it ranged from 0.92x to 1.06x over ten runs, so a floor at serial
+throughput would flake.
 
 Exit code 0 = all gates pass.
 """

@@ -76,7 +76,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sketch import _native
 from repro.sketch.hashing import (
     PRIME_61,
     KWiseHash,
@@ -145,9 +144,6 @@ class StackedKWiseHash:
                 f"keys grid has {keys.shape[0]} rows, expected {self.depth}"
             )
         keys_mod = (keys % np.int64(PRIME_61)).astype(np.uint64)
-        backend = _native.active()
-        if backend is not None:
-            return backend.horner_grid(self.coeffs, np.ascontiguousarray(keys_mod))
         per_row = (self.depth, self.k) + (1,) * (keys_mod.ndim - 1)
         return _horner(self.coeffs.reshape(per_row), keys_mod)
 
@@ -173,9 +169,6 @@ def joint_values(hashes: tuple[StackedKWiseHash, ...], keys: np.ndarray) -> np.n
     coeffs = np.concatenate([h.coeffs for h in hashes])
     keys = np.asarray(keys, dtype=np.int64).reshape(-1)
     keys_mod = (keys % np.int64(PRIME_61)).astype(np.uint64)
-    backend = _native.active()
-    if backend is not None:
-        return backend.horner(coeffs, keys_mod)
     return _horner(coeffs[:, :, None], keys_mod[None, :])
 
 
@@ -257,17 +250,6 @@ def scatter_add_scalar(
     zeroed table is bit-identical to the historical sequential scatter.
     """
     depth, width = table.shape
-    backend = _native.active()
-    if backend is not None and table.flags.c_contiguous:
-        # Same association as below: zeroed per-row buffer accumulated in
-        # batch order, then one elementwise add into the table — bit-exact.
-        backend.scatter_add_scalar(
-            table,
-            np.ascontiguousarray(buckets, dtype=np.int64),
-            None if signs is None else np.ascontiguousarray(signs, dtype=np.float64),
-            np.ascontiguousarray(deltas, dtype=np.float64),
-        )
-        return
     for row in range(depth):
         weights = deltas if signs is None else signs[row] * deltas
         table[row] += np.bincount(buckets[row], weights=weights, minlength=width)
@@ -286,18 +268,9 @@ def scatter_add_vector(
     ``(row, bucket, column)`` cells, laid out ``(row, t, column)`` so that
     each cell still accumulates its batch in order from zero and reaches
     the table in one add — the same association as one bincount per
-    (row, column), and as the native shim.
+    (row, column).
     """
     depth, width, m = table.shape
-    backend = _native.active()
-    if backend is not None and table.flags.c_contiguous:
-        backend.scatter_add_vector(
-            table,
-            np.ascontiguousarray(buckets, dtype=np.int64),
-            np.ascontiguousarray(signs, dtype=np.float64),
-            np.ascontiguousarray(deltas, dtype=np.float64),
-        )
-        return
     # order="C": gathers from a dense cache come back column-major, and
     # the flat views below must not copy.
     row_buckets = buckets + (np.arange(depth) * width)[:, None]
@@ -327,19 +300,8 @@ def bincount_rows(
     weights accumulate through ``np.bincount``.  2-D weights scatter into
     the flattened ``(row, column)`` cells in one call either way.
     """
-    backend = _native.active()
     width = 1 if weights.ndim == 1 else weights.shape[1]
     shape = (num_rows,) if weights.ndim == 1 else (num_rows, width)
-    dtype = np.int64 if exact_int else np.float64
-    if backend is not None:
-        out = np.zeros(shape, dtype=dtype)
-        kernel = backend.bincount_i64 if exact_int else backend.bincount_f64
-        kernel(
-            np.ascontiguousarray(rows, dtype=np.int64),
-            np.ascontiguousarray(weights, dtype=dtype),
-            out,
-        )
-        return out
     cells = rows if weights.ndim == 1 else rows[:, None] * width + np.arange(width)
     if exact_int:
         out = np.zeros(shape, dtype=np.int64)

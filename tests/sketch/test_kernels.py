@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.sketch import AmsSketch, L0Sampler, _native, kernels
+from repro.sketch import AmsSketch, L0Sampler, kernels
 from repro.sketch.hashing import KWiseHash, PRIME_61
 from repro.sketch.kernels import (
     BitSignHash,
@@ -192,8 +192,7 @@ class TestScatterKernels:
                 reference[row, :, col] += np.bincount(
                     buckets[row], weights=signs[row] * deltas[:, col], minlength=width
                 )
-        with _native.use_backend("numpy"):
-            scatter_add_vector(table, buckets, signs, deltas)
+        scatter_add_vector(table, buckets, signs, deltas)
         assert table.tobytes() == reference.tobytes()
 
     def test_integer_weights_far_past_float53_stay_exact(self):

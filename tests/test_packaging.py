@@ -12,7 +12,6 @@ import pytest
 import repro
 from repro.comm.conditions import LinkModel, NetworkConditions
 from repro.engine.runtime import Runtime
-from repro.sketch import _native
 from repro.sketch.countsketch import CountSketch
 from repro.sketch.mergeable import LinearStateMixin
 
@@ -67,6 +66,13 @@ REMOVED = [
         ("repro.engine.runtime", "ResidentPool"),
         ("repro.engine.runtime", "WorkerCrashedError"),
         ("repro.comm.conditions", "simulate_makespan"),
+        # The compiled kernel backend and its selection API.
+        ("repro.sketch._native", "active"),
+        ("repro.sketch._native", "available_backends"),
+        ("repro.sketch._native", "probe_errors"),
+        ("repro.sketch._native", "set_backend"),
+        ("repro.sketch._native", "use_backend"),
+        ("repro.sketch._native", "BACKENDS"),
     )
 ] + [
     # Resident mode's runtime methods and the sketches' shared-memory hooks.
@@ -88,7 +94,6 @@ REMOVED = [
         (LinkModel, "transfer_seconds"),
     )
 ] + [
-    pytest.param(partial(_native.set_backend, "numba"), ValueError, id="set_backend-numba"),
     pytest.param(partial(Runtime, "processes"), ValueError, id="Runtime-processes"),
     pytest.param(partial(Runtime, persistent=True), TypeError, id="Runtime-persistent"),
 ]
@@ -97,7 +102,7 @@ REMOVED = [
 @pytest.mark.parametrize("action, error", REMOVED)
 def test_removed_surface_stays_removed(action, error):
     """Deleted modules fail to import, deleted names and methods fail to
-    resolve, and the numba backend, the processes executor and the
-    persistent keyword are rejected."""
+    resolve, and the processes executor and the persistent keyword are
+    rejected."""
     with pytest.raises(error):
         action()
