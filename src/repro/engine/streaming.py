@@ -602,7 +602,7 @@ class StreamingSession(EstimatorBase):
         if not np.issubdtype(rows.dtype, np.integer):
             if not wire.is_exact_integer_valued(rows):
                 raise ValueError("rows must be integer-valued global row indices")
-        rows = rows.astype(np.int64).reshape(-1)
+        rows = rows.astype(np.int64, copy=False).reshape(-1)
         deltas = np.asarray(deltas)
         # Every delta — float *or* integer dtype — must be an integer within
         # the float64-exact range +-2**53: the AMS and CountSketch monitor

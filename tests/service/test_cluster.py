@@ -270,6 +270,7 @@ class TestNonFiniteData:
             for thread in threads:
                 if thread.ident is not None:
                     thread.join(10.0)
+        assert not any(thread.is_alive() for thread in threads)
 
     def test_non_finite_b_is_refused_at_construction(self):
         with pytest.raises(ValueError, match="B has NaN or infinite entries"):
