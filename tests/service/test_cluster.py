@@ -233,9 +233,10 @@ class TestErrors:
 class TestNonFiniteData:
     """A NaN or infinite shard is refused at upload, not at readiness.
 
-    Before, the server registered the shard, failed to build its
-    estimator when the last site arrived, and never became ready, while
-    the site agent returned without an error.
+    The site learns why and its index stays free for a clean shard.
+    Refused only when the estimator is built, after the last site
+    arrived, it would leave a registered site, a server that never
+    becomes ready and an agent that returns without an error.
     """
 
     def test_non_finite_shard_is_refused_and_the_index_stays_free(self):
