@@ -49,6 +49,52 @@ def ingest_in_chunks(session, shards, chunk_rng):
         session.end_epoch()
 
 
+def ingest_in_chunks_with_repeats(session, shards, chunk_rng):
+    """:func:`ingest_in_chunks`, with repeated rows in every batch.
+
+    Each batch but a site's last also carries random rows of that site,
+    drawn with replacement and each listed twice, with deltas ``+d``; the
+    site's next batch carries the same rows with ``-d``.  So every batch
+    names rows more than once, and the final shards still equal ``shards``.
+    """
+    max_rows = max(shard.shape[0] for shard in shards)
+    position = [0] * len(shards)
+    owed: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(shards)
+    while any(position[i] < shards[i].shape[0] for i in range(len(shards))):
+        for index, shard in enumerate(shards):
+            if position[index] >= shard.shape[0]:
+                continue
+            take = int(chunk_rng.integers(1, max(2, max_rows // 3)))
+            take = min(take, shard.shape[0] - position[index])
+            rows = np.arange(position[index], position[index] + take)
+            parts = [(rows, shard[rows])]
+            if owed[index] is not None:
+                back_rows, back = owed[index]
+                parts.append((back_rows, -back))
+                owed[index] = None
+            position[index] += take
+            if position[index] < shard.shape[0]:
+                extra = np.tile(chunk_rng.integers(0, shard.shape[0], take + 1), 2)
+                noise = chunk_rng.integers(-3, 4, (extra.size, shard.shape[1]))
+                parts.append((extra, noise))
+                owed[index] = (extra, noise)
+            order = chunk_rng.permutation(sum(part[0].size for part in parts))
+            batch_rows = np.concatenate([part[0] for part in parts])[order]
+            batch_deltas = np.concatenate([part[1] for part in parts])[order]
+            site = session.sites[index]
+            session.ingest(index, site.row_offset + batch_rows, batch_deltas)
+        session.end_epoch()
+
+
+def with_repeated_rows(values):
+    """Parameters ``(value, chunker)``: each value under the plain chunking
+    (keeping its historical test id), then under the repeated-row one."""
+    return [pytest.param(v, ingest_in_chunks, id=str(v)) for v in values] + [
+        pytest.param(v, ingest_in_chunks_with_repeats, id=f"{v}-repeats")
+        for v in values
+    ]
+
+
 def assert_same_protocol_result(streamed, batch):
     assert streamed.value == batch.value
     assert streamed.cost.rounds == batch.cost.rounds
@@ -73,8 +119,10 @@ def one_shot_state_bytes(session, family, a):
 class TestStreamedRunEqualsOneShot:
     """Acceptance pin: multi-epoch ingest + single final sync == one-shot."""
 
-    @pytest.mark.parametrize("k", [1, 2, 4])
-    def test_summaries_bits_and_estimates_bit_identical(self, binary_pair, k):
+    @pytest.mark.parametrize("k, chunker", with_repeated_rows([1, 2, 4]))
+    def test_summaries_bits_and_estimates_bit_identical(
+        self, binary_pair, k, chunker
+    ):
         a, b = binary_pair
         seed = 97
         batch = ClusterEstimator.from_matrix(a, b, k, seed=seed)
@@ -83,7 +131,7 @@ class TestStreamedRunEqualsOneShot:
         session = batch.stream(refresh="threshold", threshold=float("inf"))
 
         chunk_rng = np.random.default_rng(1000 + k)
-        ingest_in_chunks(session, batch.shards, chunk_rng)
+        chunker(session, batch.shards, chunk_rng)
         assert session.total_upload_bytes == 0  # nothing shipped yet
         report = session.sync()
         assert all(report.shipped.values())
@@ -103,12 +151,12 @@ class TestStreamedRunEqualsOneShot:
             session.heavy_hitters(0.1, 0.05), batch.heavy_hitters(0.1, 0.05)
         )
 
-    @pytest.mark.parametrize("k", [1, 2, 4])
-    def test_accumulated_shards_equal_batch_shards(self, binary_pair, k):
+    @pytest.mark.parametrize("k, chunker", with_repeated_rows([1, 2, 4]))
+    def test_accumulated_shards_equal_batch_shards(self, binary_pair, k, chunker):
         a, b = binary_pair
         batch = ClusterEstimator.from_matrix(a, b, k, seed=3)
         session = batch.stream()
-        ingest_in_chunks(session, batch.shards, np.random.default_rng(5))
+        chunker(session, batch.shards, np.random.default_rng(5))
         for accumulated, original in zip(session.shards(), batch.shards):
             np.testing.assert_array_equal(accumulated, original)
         assert session.is_binary == batch.is_binary
@@ -117,13 +165,15 @@ class TestStreamedRunEqualsOneShot:
 class TestChunkingInvariance:
     """Satellite: any epoch chunking yields bit-identical results."""
 
-    @pytest.mark.parametrize("chunk_seed", [0, 1, 2])
-    def test_random_chunkings_agree_with_batch(self, binary_pair, chunk_seed):
+    @pytest.mark.parametrize("chunk_seed, chunker", with_repeated_rows([0, 1, 2]))
+    def test_random_chunkings_agree_with_batch(
+        self, binary_pair, chunk_seed, chunker
+    ):
         a, b = binary_pair
         seed = 11
         batch = ClusterEstimator.from_matrix(a, b, 3, seed=seed)
         session = batch.stream()  # every-epoch refresh: many partial ships
-        ingest_in_chunks(session, batch.shards, np.random.default_rng(chunk_seed))
+        chunker(session, batch.shards, np.random.default_rng(chunk_seed))
         session.sync()
 
         # Merged summaries are chunking-invariant (linearity is exact on
