@@ -71,7 +71,7 @@ from repro.engine.runtime import (
 )
 from repro.sketch.ams import AmsSketch
 from repro.sketch.countsketch import CountSketch
-from repro.sketch.kernels import exact_matmul
+from repro.sketch.kernels import bincount_rows, exact_matmul
 from repro.sketch.l0_sampler import L0Sampler
 from repro.sketch.l0_sketch import L0Sketch
 from repro.sketch.mergeable import MergeableSketch
@@ -180,11 +180,22 @@ class _SiteStream:
         self.shipped_mass = 0.0
 
     def ingest(self, rows: np.ndarray, deltas: np.ndarray) -> None:
-        np.add.at(self.shard, rows - self.row_offset, deltas)
-        for sketch in self.pending.values():
-            sketch.update_many(rows, deltas)
+        """Add one validated batch to the shard and the pending sketches.
+
+        Repeated rows are summed once, in int64, so the shard and each
+        linear sketch see every distinct row once with the same state bytes
+        as row by row; a batch without repeats passes in arrival order.
+        ``pending_updates`` and ``pending_mass`` count the raw batch.
+        """
         self.pending_updates += rows.shape[0]
         self.pending_mass += float(np.abs(deltas).sum())
+        distinct, inverse = np.unique(rows, return_inverse=True)
+        if distinct.shape[0] < rows.shape[0]:
+            deltas = bincount_rows(inverse, deltas, distinct.shape[0], exact_int=True)
+            rows = distinct
+        self.shard[rows - self.row_offset] += deltas
+        for sketch in self.pending.values():
+            sketch.update_many(rows, deltas)
 
     def should_ship(self, refresh: str, threshold: float, *, force: bool) -> bool:
         if self.pending_updates == 0:
@@ -592,6 +603,9 @@ class StreamingSession(EstimatorBase):
         deltas keep every sketch state exact — provided the *accumulated*
         bucket magnitudes also stay within the float64-exact ``2**53`` range
         — which is what makes streamed and one-shot summaries bit-identical.
+        A row may repeat within a batch: its deltas are summed in int64
+        before the shard and the sketches see it, while the threshold
+        policy's update count and mass still count every raw row.
         """
         self._check_open("ingest")
         self._check_site_index(site)

@@ -163,3 +163,29 @@ def test_ingest_matches_the_frozen_raw_row_path(scenario):
         assert live_sent == frozen_sent
         assert_same_sites(live, frozen)
         assert_same_merged(live, frozen)
+
+
+def test_sketches_see_each_row_once_and_counters_the_raw_batch():
+    session = build(1, None, "hash", "every-epoch", frozen=False)
+    site = session.sites[0]
+    seen: list[tuple[str, list[int]]] = []
+    for family, sketch in site.pending.items():
+        update = sketch.update_many
+
+        def spy(rows, deltas, family=family, update=update):
+            seen.append((family, rows.tolist()))
+            return update(rows, deltas)
+
+        sketch.update_many = spy
+    repeated = np.array([[1, -2, 3], [4, 0, 0], [-1, 2, -3], [2, 2, 2], [0, 5, 0]])
+    session.ingest(0, [5, 2, 5, 1, 2], repeated)
+    session.ingest(0, [4, 0, 3], np.ones((3, 3), dtype=np.int64))
+    assert seen == [(family, [1, 2, 5]) for family in FAMILIES] + [
+        (family, [4, 0, 3]) for family in FAMILIES
+    ]
+    assert site.pending_updates == 8
+    assert site.pending_mass == float(np.abs(repeated).sum() + 9)
+    expected = np.zeros_like(site.shard)
+    np.add.at(expected, [5, 2, 5, 1, 2], repeated)
+    expected[[4, 0, 3]] += 1
+    assert site.shard.tobytes() == expected.tobytes()
