@@ -188,7 +188,8 @@ class _SiteStream:
         ``pending_updates`` and ``pending_mass`` count the raw batch.
         """
         self.pending_updates += rows.shape[0]
-        self.pending_mass += float(np.abs(deltas).sum())
+        # In float64: an int64 sum wraps (1,024 x 4 deltas of 2**53 sum to 0).
+        self.pending_mass += float(np.abs(deltas).sum(dtype=np.float64))
         distinct, inverse = np.unique(rows, return_inverse=True)
         if distinct.shape[0] < rows.shape[0]:
             deltas = bincount_rows(inverse, deltas, distinct.shape[0], exact_int=True)

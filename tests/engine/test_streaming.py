@@ -246,6 +246,20 @@ class TestRefreshPolicies:
         assert session.end_epoch().total_bytes == 0  # even the first drift waits
         assert session.sync().total_bytes > 0
 
+    def test_threshold_ships_a_drift_whose_int64_mass_wraps(self):
+        from repro.engine.streaming import StreamingSession
+
+        session = StreamingSession(
+            [1024], np.eye(4, dtype=np.int64), seed=1, refresh="threshold",
+            threshold=0.5,
+        )
+        session.ingest(0, [0], [[1, 0, 0, 0]])
+        assert session.end_epoch().shipped == {"site-0": True}
+        # 4,096 deltas of 2**53 sum to 2**65, which wraps to 0 in int64.
+        session.ingest(0, np.arange(1024), np.full((1024, 4), 2**53))
+        assert session.sites[0].pending_mass == 2.0**65
+        assert session.end_epoch().shipped == {"site-0": True}
+
     def test_every_epoch_ships_only_sites_with_pending(self, binary_pair):
         a, b = binary_pair
         batch = ClusterEstimator.from_matrix(a, b, 2, seed=29)
