@@ -389,6 +389,8 @@ class CoordinatorServer:
         if num_sites < 0:
             raise ValueError(f"num_sites must be >= 0, got {num_sites}")
         self.b = np.asarray(b)
+        if self.b.ndim != 2:
+            raise ValueError("b must be a 2-dimensional matrix")
         check_finite(self.b, "B")
         self.num_sites = int(num_sites)
         self.expected_row_counts = (

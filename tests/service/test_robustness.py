@@ -205,6 +205,16 @@ def test_a_tree_over_other_sites_fails_when_the_server_is_built():
         CoordinatorServer(np.eye(4), num_sites=2, tree=TreeSpec.flat(["a", "b"]))
 
 
+@pytest.mark.parametrize("shape", [(3,), (2, 3, 2), ()])
+def test_a_b_that_is_not_a_matrix_fails_when_the_server_is_built(shape):
+    """Accepted, such a B took a (4, 3) shard and then failed the estimator
+    build after the last registration: the server never became ready."""
+    from repro.service.server import CoordinatorServer
+
+    with pytest.raises(ValueError, match="b must be a 2-dimensional matrix"):
+        CoordinatorServer(np.ones(shape), num_sites=1)
+
+
 class _FrameRefusingLink:
     """A site link stub that fails the test if any frame is sent on it."""
 
