@@ -73,13 +73,20 @@ def coerce_shards(shards: Sequence[Any]) -> list[np.ndarray]:
 
 
 def check_finite(matrix: np.ndarray, name: str) -> None:
-    """Raise ``ValueError`` if ``matrix`` holds a NaN or an infinity.
+    """Raise ``ValueError`` unless ``matrix`` holds finite real numbers.
 
-    The sketches and products would turn either into NaN or into a silent
-    wrong estimate.  Integer and boolean matrices hold neither, so only
-    float dtypes pay for the scan.
+    The products would drop a complex matrix's imaginary part with only a
+    warning, and a string matrix fails every query.  A NaN or an infinity
+    would give NaN or a silent wrong estimate; integer and boolean
+    matrices hold neither, so only float dtypes pay for the scan.
     """
-    if matrix.dtype.kind in "fc" and not np.isfinite(matrix).all():
+    kind = matrix.dtype.kind
+    if kind not in "biuf":
+        raise ValueError(
+            f"{name} must hold real numbers (bool, integer or float), "
+            f"got dtype {matrix.dtype}"
+        )
+    if kind == "f" and not np.isfinite(matrix).all():
         raise ValueError(f"{name} has NaN or infinite entries")
 
 

@@ -19,6 +19,7 @@ from repro.engine import (
     StarL0SamplingProtocol,
     StarL1SamplingProtocol,
     StarLpNormProtocol,
+    StreamingSession,
 )
 from repro.engine.l1 import shard_column_sums
 
@@ -211,6 +212,31 @@ class TestValidation:
         with pytest.raises(ValueError, match="B has NaN or infinite entries"):
             ClusterEstimator.from_matrix(a, bad_b, 2, seed=1)
         assert ClusterEstimator.from_matrix(a, b, 2, seed=1).lp_norm(2, 0.3).value == 15986.0
+
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda a, b: ClusterEstimator.from_matrix(a, b + 1j * b, 2, seed=1), "B"),
+            (lambda a, b: MatrixProductEstimator(a, b + 1j * b, seed=1), "B"),
+            (lambda a, b: MatrixProductEstimator(a.astype(complex), b, seed=1), "A"),
+            (lambda a, b: StreamingSession([32, 32], b + 1j * b), "B"),
+            (lambda a, b: ClusterEstimator([a[:32], a[32:].astype(str)], b), "A"),
+        ],
+        ids=["cluster-complex-b", "pair-complex-b", "pair-complex-a",
+             "session-complex-b", "cluster-string-shard"],
+    )
+    def test_matrices_must_hold_real_numbers(self, build, name):
+        """A complex B used to answer ``natural_join_size`` with 7556.0
+        against the true ||A B||_1 of 10685.8 here, with only a
+        ``ComplexWarning``; a string shard constructed and then failed every
+        query with ``UFuncTypeError``."""
+        rng = np.random.default_rng(0)
+        a = rng.integers(0, 3, (64, 16))
+        b = rng.integers(0, 3, (16, 8))
+        with pytest.raises(ValueError, match=f"^{name} must hold real numbers"):
+            build(a, b)
+        real = ClusterEstimator.from_matrix(a, b, 2, seed=1).natural_join_size()
+        assert real.value == float((a @ b).sum())
 
     def test_from_matrix_bounds_num_sites(self, binary_pair):
         a, b = binary_pair

@@ -215,6 +215,20 @@ def test_a_b_that_is_not_a_matrix_fails_when_the_server_is_built(shape):
         CoordinatorServer(np.ones(shape), num_sites=1)
 
 
+def test_a_matrix_that_is_not_real_is_refused_by_the_server():
+    """Accepted, a complex B dropped its imaginary part in every product,
+    and a string shard failed every query with ``UFuncTypeError``."""
+    from repro.service.server import CoordinatorServer
+
+    with pytest.raises(ValueError, match="^B must hold real numbers"):
+        CoordinatorServer(np.ones((3, 2)) * 1j, num_sites=1)
+    server = CoordinatorServer(np.ones((3, 2)), num_sites=1)
+    with pytest.raises(
+        ValueError, match="^the shard of site 'site-0' must hold real numbers"
+    ):
+        server._check_shard("site-0", 0, np.ones((4, 3)).astype(str))
+
+
 class _FrameRefusingLink:
     """A site link stub that fails the test if any frame is sent on it."""
 
