@@ -41,8 +41,8 @@ class MatrixProductEstimator(EstimatorBase):
     seed:
         Base seed; each query derives an independent stream from it.
     runtime, conditions:
-        Optional execution runtime (executor choice) and per-link timing
-        model, forwarded to every query (see
+        Optional execution runtime (dropout and quorum policies) and
+        per-link timing model, forwarded to every query (see
         :class:`repro.engine.api.EstimatorBase`).
     """
 

@@ -27,10 +27,10 @@ Layout
     :class:`repro.core.api.MatrixProductEstimator` and the k-site
     :class:`ClusterEstimator` facade.
 ``repro.engine.runtime``
-    :class:`Runtime`, the message-passing execution layer: pluggable
-    per-site executors (``serial``/``threads``) with a
-    serial-equivalence guarantee, plus the dropout policies applied when
-    network conditions declare sites dropped.
+    :class:`Runtime`, the message-passing execution layer: the per-site
+    fan-out, run inline in site order on the caller's thread, plus the
+    dropout and quorum policies applied when network conditions declare
+    sites dropped or slow.
 ``repro.engine.streaming``
     :class:`StreamingSession`, the continuous-monitoring runtime: batched
     turnstile ingestion over epochs, serialized sketch deltas metered in

@@ -74,7 +74,7 @@ class EstimatorBase:
     their topology.
 
     Every facade accepts an optional :class:`repro.engine.runtime.Runtime`
-    (per-site executor + dropout policy),
+    (dropout and quorum policies),
     :class:`repro.comm.conditions.NetworkConditions` (per-link timing
     models + dropped sites) and :class:`repro.comm.transport.Transport`
     (who carries the star network — in-process simulation or real
@@ -189,9 +189,8 @@ class ClusterEstimator(EstimatorBase):
         same way as ``MatrixProductEstimator`` so that runs with equal seeds
         are comparable.
     runtime:
-        Optional :class:`repro.engine.runtime.Runtime` selecting the
-        per-site executor (``serial``/``threads``) and the dropout and
-        quorum policies; forwarded to every query.
+        Optional :class:`repro.engine.runtime.Runtime` carrying the
+        dropout and quorum policies; forwarded to every query.
     conditions:
         Optional :class:`repro.comm.conditions.NetworkConditions` — per-link
         latency/bandwidth models (adds a simulated ``makespan`` to every

@@ -17,12 +17,12 @@ Both views share one seeding discipline (see
 bit-for-bit the single-shard cluster run.
 
 Both drivers accept an optional :class:`repro.engine.runtime.Runtime`
-(per-site executor + dropout policy) and :class:`repro.comm.conditions
-.NetworkConditions` (per-link timing models + dropped sites).  The default
-serial runtime over ideal links reproduces every historical transcript
-bit for bit; non-default conditions add a simulated makespan to the cost
-report and may declare sites dropped, which the runtime's dropout policy
-resolves (fail, or exclude-with-renormalization — see
+(per-site fan-out + dropout and quorum policies) and
+:class:`repro.comm.conditions.NetworkConditions` (per-link timing models +
+dropped sites).  The default runtime over ideal links reproduces every
+historical transcript bit for bit; non-default conditions add a simulated
+makespan to the cost report and may declare sites dropped, which the
+runtime's dropout policy resolves (fail, or exclude-with-renormalization — see
 :mod:`repro.engine.runtime`).
 """
 

@@ -133,8 +133,8 @@ def star_exchange_item_supports(
 
     Per-site list construction and the exchange-level accumulation (both
     shares' local products) fan out through ``runtime``; every send happens
-    in the serial phase, in site order, so the transcript is
-    executor-invariant.
+    in the serial phase, in site order, so the transcript is the same
+    wherever the site tasks ran.
     """
     runtime = runtime if runtime is not None else SERIAL_RUNTIME
     shard_subs = [np.asarray(shard, dtype=np.int64) for shard in shard_subs]

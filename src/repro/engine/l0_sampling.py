@@ -102,8 +102,8 @@ class StarL0SamplingProtocol(StarProtocol):
         )
 
         # Round 1 (the only round): sites -> coordinator, partial summaries.
-        # Fan-out: every site pushes its shard through both sketches
-        # concurrently; sends and merges stay serial in site order.
+        # Fan-out: every site pushes its shard through both sketches; sends
+        # and merges stay serial in site order.
         site_summaries = self.runtime.map(
             shard_partial_summaries,
             [(site.rows, site.data, (l0_sketch, sampler)) for site in sites],

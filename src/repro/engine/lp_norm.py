@@ -196,7 +196,7 @@ def star_lp_pp_estimate(
     the coordinator's hands (it performs the final summation), matching the
     paper's Bob.  Per-site round-2 work fans out through ``runtime``; sends
     and the coordinator's weighted summation stay serial in site order, so
-    the transcript is executor-invariant.
+    the transcript is the same wherever the site tasks ran.
     """
     runtime = runtime if runtime is not None else SERIAL_RUNTIME
     b = np.asarray(coordinator.data)

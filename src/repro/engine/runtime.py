@@ -1,4 +1,4 @@
-"""The engine's message-passing runtime: pluggable per-site executors.
+"""The engine's message-passing runtime: per-site fan-out and fault policies.
 
 Every engine protocol is written as an alternation of two phases:
 
@@ -9,45 +9,27 @@ Every engine protocol is written as an alternation of two phases:
 2. a **serial phase** — the coordinator's side: sends in fixed site order,
    entrywise merges, thresholding, the final estimate.
 
-The runtime only parallelizes phase 1, so the transcript — the order of
-messages on the network, the bits charged per message, the round counter —
-is produced by exactly the same serial code regardless of the executor.
-
-Serial-equivalence guarantee
-----------------------------
-``Runtime("serial")`` (the default) runs every task inline, in site order,
-on the caller's thread: byte for byte the pre-runtime control flow, which
-is why the pinned-transcript suites (``tests/test_engine_equivalence.py``,
+:class:`Runtime` runs every fan-out task inline, in site order, on the
+caller's thread: byte for byte the pre-runtime control flow, which is why
+the pinned-transcript suites (``tests/test_engine_equivalence.py``,
 ``tests/engine/test_determinism.py``, the golden-state and the streaming
-equivalence tests) pass unmodified.  The threads executor preserves
-bit-identical *results* too, because the engine's randomness discipline
-makes per-site work independent:
+equivalence tests) pass unmodified.
+:class:`repro.service.transport.RemoteRuntime` runs the same tasks in the
+site processes and still reproduces every protocol output and every
+bit/round/per-link meter (pinned by ``tests/engine/test_runtime.py`` for
+every protocol family, at every k), because the engine's randomness
+discipline makes per-site work independent:
 
-* each site draws only from its **private** generator, so concurrent sites
-  never contend for a stream, and results are collected **in site order**
-  regardless of completion order;
+* each site draws only from its **private** generator, and results are
+  collected **in site order**;
 * task functions that consume randomness take the generator as an argument
   and return it alongside their result; :meth:`Runtime.map_sites` restores
   the returned generator onto the site, so a later phase continues from the
-  advanced state even when the task drew from a pickled copy — as it does
-  under :class:`repro.service.transport.RemoteRuntime`, which runs the
-  tasks in the site processes (in process the returned object is the
-  site's own generator and the restore is a no-op);
+  advanced state even when the task drew from a pickled copy (in process
+  the returned object is the site's own generator and the restore is a
+  no-op);
 * floating-point accumulation across sites happens in the serial phase, in
-  site order, so sums associate identically under every executor.
-
-Together these give the contract pinned by ``tests/engine/test_runtime.py``:
-both executors produce identical protocol outputs and identical
-bit/round/per-link meters, for every protocol family, at every k.
-
-Executors
----------
-``serial``
-    Inline execution (default).  Zero overhead, zero dependencies.
-``threads``
-    A shared :class:`~concurrent.futures.ThreadPoolExecutor`.  NumPy
-    releases the GIL inside the BLAS/ufunc kernels that dominate per-site
-    work, so k-site runs overlap their heavy lifting on multicore hosts.
+  site order, so sums associate identically wherever the tasks ran.
 
 Fault policies
 --------------
@@ -69,9 +51,6 @@ conditions declare sites dropped (:class:`repro.comm.conditions
 
 from __future__ import annotations
 
-import atexit
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
@@ -79,15 +58,11 @@ import numpy as np
 
 __all__ = [
     "DROPOUT_POLICIES",
-    "EXECUTORS",
     "QuorumPolicy",
     "Runtime",
     "SERIAL_RUNTIME",
     "SiteDroppedError",
 ]
-
-#: Supported executors, in cost order.
-EXECUTORS = ("serial", "threads")
 
 #: Supported dropout policies.
 DROPOUT_POLICIES = ("fail", "exclude")
@@ -210,43 +185,11 @@ class QuorumPolicy:
         return n - self.f
 
 
-def _default_workers() -> int:
-    """Pool width default: env override, then CPU *affinity*, then count.
-
-    ``os.cpu_count()`` reports the machine, not the container: under a
-    cgroup cpuset (CI runners, schedulers) it over-provisions the pool and
-    the surplus workers just contend.  ``os.sched_getaffinity(0)`` reports
-    the CPUs this process may actually run on.  ``REPRO_WORKERS`` wins over
-    both, so benchmarks and CI can pin the width explicitly.
-    """
-    env = os.environ.get("REPRO_WORKERS")
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ValueError(f"REPRO_WORKERS must be an integer, got {env!r}") from None
-        if workers < 1:
-            raise ValueError(f"REPRO_WORKERS must be >= 1, got {workers}")
-        return workers
-    if hasattr(os, "sched_getaffinity"):
-        try:
-            return max(len(os.sched_getaffinity(0)), 1)
-        except OSError:  # pragma: no cover - affinity unsupported at runtime
-            pass
-    return max(os.cpu_count() or 1, 1)
-
-
 class Runtime:
     """Executes the engine's per-site fan-out phases.
 
     Parameters
     ----------
-    executor:
-        ``"serial"`` (default) or ``"threads"``.
-    max_workers:
-        Thread-pool width.  Default: the ``REPRO_WORKERS`` env var, else
-        the CPU *affinity* count (:func:`os.sched_getaffinity` — honest in
-        containers), else ``os.cpu_count()``.
     dropout:
         Policy applied to sites declared dropped by the network conditions:
         ``"fail"`` (default) or ``"exclude"`` (see the module docstring).
@@ -254,109 +197,39 @@ class Runtime:
         Optional :class:`QuorumPolicy` (or an ``(n, f)`` pair, or a bare
         ``f``): one-shot queries answer from the fastest ``n - f`` sites.
 
-    A runtime is reusable across protocol runs and queries; its thread pool
-    is created lazily on the first concurrent :meth:`map` and shared until
-    :meth:`close` (also invoked by the context-manager exit and at
-    interpreter shutdown).
+    A runtime holds no resources: one instance serves any number of
+    protocol runs, queries and sessions.
     """
 
     def __init__(
         self,
-        executor: str = "serial",
         *,
-        max_workers: int | None = None,
         dropout: str = "fail",
         quorum: "QuorumPolicy | tuple | int | None" = None,
     ) -> None:
-        if executor not in EXECUTORS:
-            raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
         if dropout not in DROPOUT_POLICIES:
             raise ValueError(f"dropout must be one of {DROPOUT_POLICIES}, got {dropout!r}")
-        if max_workers is not None and max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        self.executor = executor
-        self.max_workers = max_workers
         self.dropout = dropout
         self.quorum = QuorumPolicy.coerce(quorum)
-        self._pool: ThreadPoolExecutor | None = None
-        self._atexit_registered = False
-
-    # ------------------------------------------------------------------ pool
-    def _register_atexit(self) -> None:
-        """Install the interpreter-shutdown close hook (at most one live).
-
-        Registration and unregistration must stay exactly paired across
-        pool-create→close cycles: ``atexit.register`` appends
-        unconditionally, so a re-register without the matching unregister
-        would stack duplicate hooks (each pinning this runtime) for the
-        life of the process.  The ``_atexit_registered`` flag is the single
-        source of truth — it is only set here and only cleared by
-        :meth:`close` right after the ``atexit.unregister`` call.
-        """
-        if not self._atexit_registered:
-            atexit.register(self.close)
-            self._atexit_registered = True
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.max_workers or _default_workers(),
-                thread_name_prefix="repro-site",
-            )
-            self._register_atexit()
-        return self._pool
-
-    def close(self) -> None:
-        """Shut the thread pool down (idempotent; a later map re-creates it)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self._atexit_registered:
-            # Drop the interpreter-shutdown hook so closed runtimes are
-            # garbage-collectable instead of accumulating in the atexit list.
-            atexit.unregister(self.close)
-            self._atexit_registered = False
-
-    def __enter__(self) -> "Runtime":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     # ------------------------------------------------------------------- map
     def map(self, fn: Callable[..., Any], tasks: Sequence[tuple]) -> list[Any]:
-        """Run ``fn(*task)`` for every task; results come back in task order.
-
-        The serial executor (and any call with fewer than two tasks, where
-        concurrency cannot help) runs inline on the caller's thread — but a
-        threads runtime still creates its pool on the way through, so a
-        tiny first phase does not push the pool start-up onto the first
-        real parallel phase.
-        """
+        """Run ``fn(*task)`` for every task; results come back in task order."""
         return self.map_async(fn, tasks)()
 
     def map_async(
         self, fn: Callable[..., Any], tasks: Sequence[tuple]
     ) -> Callable[[], list[Any]]:
-        """Dispatch every task now; join (and get ordered results) later.
+        """Run every task now, on the caller's thread; return the join.
 
-        Returns a zero-argument callable producing the same list
-        :meth:`map` would have — the caller runs other work between
-        dispatch and join (e.g. the streaming coordinator merges deltas
-        while the workers encode them).  Serial execution — the serial
-        executor or a sub-concurrent task count — runs eagerly at dispatch
-        so the join can never surprise.  Until the join returns, task
-        arguments must not be mutated: the threads executor reads them in
-        place.
+        The join is a zero-argument callable producing the list :meth:`map`
+        returns; a task's error is raised here, at dispatch.
+        :class:`repro.service.transport.RemoteRuntime` overrides only
+        :meth:`map`, so work dispatched through this method stays on the
+        coordinator: the streaming session encodes its sites' deltas here.
         """
-        if self.executor == "serial" or len(tasks) < 2:
-            if self.executor != "serial":
-                self._ensure_pool()
-            results = [fn(*task) for task in tasks]
-            return lambda: results
-        pool = self._ensure_pool()
-        futures = [pool.submit(fn, *task) for task in tasks]
-        return lambda: [future.result() for future in futures]
+        results = [fn(*task) for task in tasks]
+        return lambda: results
 
     def map_sites(
         self,
@@ -523,13 +396,13 @@ class Runtime:
         return contributors, stragglers, details
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        parts = [repr(self.executor), f"dropout={self.dropout!r}"]
+        parts = [f"dropout={self.dropout!r}"]
         if self.quorum is not None:
             parts.append(f"quorum={self.quorum}")
         return f"Runtime({', '.join(parts)})"
 
 
-#: The shared default: serial execution, fail-on-dropout.  The serial
-#: executor never allocates a pool, so one stateless instance backs every
-#: protocol run and helper invoked without an explicit runtime.
+#: The shared default: fail-on-dropout, no quorum.  A runtime is stateless,
+#: so one instance backs every protocol run and helper invoked without an
+#: explicit runtime.
 SERIAL_RUNTIME = Runtime()

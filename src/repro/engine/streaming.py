@@ -213,9 +213,8 @@ class _SiteStream:
         """Reset the pending state after its serialization went on the wire.
 
         The serialization half is :func:`repro.sketch.serialization
-        .serialize_deltas` (fanned out by ``end_epoch``); splitting the two
-        halves is what lets the encoding run on a worker thread while the
-        coordinator merges the same pending states.
+        .serialize_deltas` (dispatched by ``end_epoch``); the reset waits
+        until the coordinator has also merged the same pending states.
         """
         for sketch in self.pending.values():
             sketch.load_state_array(None)
@@ -273,11 +272,11 @@ class StreamingSession(EstimatorBase):
         RAM-sized; ``"hash"`` removes the sketches from that bill, not the
         shards.
     runtime:
-        Optional :class:`repro.engine.runtime.Runtime`.  Delta
-        serialization at epoch close fans out through it, and one-shot
-        queries execute under it (executor choice + dropout policy for
-        queries issued while sites are dropped).  Outputs, meters and
-        transcripts are identical under every executor.
+        Optional :class:`repro.engine.runtime.Runtime`.  One-shot queries
+        execute under it (its dropout and quorum policies for queries
+        issued while sites are dropped), and delta serialization at epoch
+        close is dispatched through its :meth:`~repro.engine.runtime
+        .Runtime.map_async`, which runs on the coordinator.
     conditions:
         Optional :class:`repro.comm.conditions.NetworkConditions` — the
         session's network then prices shipped deltas into a simulated
@@ -493,9 +492,7 @@ class StreamingSession(EstimatorBase):
         (see :class:`SessionClosedError`): afterwards the session still
         answers one-shot and live queries over what it accumulated, while
         :meth:`ingest`, :meth:`end_epoch`/:meth:`sync` and
-        :meth:`drop_site`/:meth:`restore_site` raise.  Idempotent, and
-        independent of the runtime: closing the runtime first or second
-        changes nothing.
+        :meth:`drop_site`/:meth:`restore_site` raise.  Idempotent.
 
         Pending (un-shipped) deltas — including a dropped site's queued
         backlog and any straggler uploads still in flight (see
@@ -665,13 +662,12 @@ class StreamingSession(EstimatorBase):
         and the identity is restored by the first sync after every site is
         back.
 
-        The sites' delta serialization is dispatched asynchronously through
-        the session's runtime and joined only after one bottom-up merge pass
-        (:meth:`_ship_aggregated`) has carried the on-time deltas from the
-        pending sketch states up the tree into the coordinator's summaries,
-        with no decode step.  Merges and sends stay serial in a fixed order,
-        so the shipped bytes and the merged summaries are
-        executor-invariant, byte for byte.
+        The sites' deltas are encoded on the coordinator under every
+        runtime, and one bottom-up merge pass (:meth:`_ship_aggregated`)
+        carries the on-time deltas from the pending sketch states up the
+        tree into the coordinator's summaries, with no decode step.  Merges
+        and sends run in a fixed order, so the shipped bytes and the merged
+        summaries are the same byte for byte under every runtime.
         """
         self._check_open("close an epoch")
         # Decide (and possibly fail) before any state mutates, so a raised
@@ -737,13 +733,16 @@ class StreamingSession(EstimatorBase):
                     uploads[site.name] = self._corrupt_pending(site)
                 else:
                     uploads[site.name] = site.pending
+            # ``map_async``, not ``map``: it runs on the coordinator under
+            # every runtime, while a socket runtime's ``map`` would ship
+            # every site's pending sketches out as tasks to encode there.
             join = runtime.map_async(
                 serialize_deltas, [(uploads[site.name],) for site in shipping]
             )
             # The pending sketches *are* the deltas the wire would carry
             # (the codec round-trips states exactly), so merge them up the
-            # tree while the encoders run; ``mark_shipped`` resets them
-            # only after the join, below.
+            # tree straight from the states; ``mark_shipped`` resets them
+            # only after the payloads are in hand, below.
             relays = self._ship_aggregated(
                 [site for site in shipping if site.name not in late_now], uploads
             )

@@ -44,9 +44,10 @@ def shard_partial_summaries(
 
     The engine's only per-row update route, and a picklable module-level
     function so :meth:`repro.engine.runtime.Runtime.map` can fan it out
-    across sites under any executor: each summary is built with one batched
-    :meth:`~repro.sketch.mergeable.MergeableSketch.update_many` call over
-    the whole shard (global row indexing), never row by row.
+    across sites, in process or in the site processes: each summary is
+    built with one batched :meth:`~repro.sketch.mergeable.MergeableSketch
+    .update_many` call over the whole shard (global row indexing), never
+    row by row.
     """
     # int64 shards pass through without a universe-sized copy; sketches
     # only read the values.

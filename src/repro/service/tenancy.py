@@ -3,8 +3,9 @@
 ROADMAP item 2: millions of users means many concurrent
 :class:`~repro.engine.streaming.StreamingSession`\\ s.  The
 :class:`SessionManager` multiplexes N independent tenants over **one**
-shared :class:`~repro.engine.runtime.Runtime` — its thread pool is
-shared, while everything observable is strictly isolated per tenant:
+shared :class:`~repro.engine.runtime.Runtime` — its dropout and quorum
+policies are shared, while everything observable is strictly isolated
+per tenant:
 
 * **randomness** — each tenant's session gets its own seed (explicit, or
   derived order-independently from the manager seed and the tenant name),
@@ -218,10 +219,10 @@ class SessionManager:
         The coordinator's matrix, common to every tenant's product
         ``C_t = A_t B`` (tenants own independent update streams ``A_t``).
     runtime:
-        The shared :class:`~repro.engine.runtime.Runtime`.  ``None`` means
-        serial in-process execution; a ``"threads"`` runtime fans every
-        tenant's delta encoding and one-shot queries out over one shared
-        thread pool.
+        The shared :class:`~repro.engine.runtime.Runtime` that every
+        tenant's session and one-shot queries run under.  ``None`` means
+        the default policies (see :data:`~repro.engine.runtime
+        .SERIAL_RUNTIME`).
     seed:
         Manager base seed; tenant sessions derive per-tenant seeds from it
         (see :func:`derive_tenant_seed`) unless ``open_tenant`` passes an
@@ -620,11 +621,10 @@ class SessionManager:
         return self._closed
 
     def close(self) -> None:
-        """Close every open tenant session (idempotent; runtime not owned).
+        """Close every open tenant session (idempotent).
 
-        The shared runtime is the caller's to close — the manager only
-        releases what it created.  Accounting is verified on the way out
-        so a lifecycle bug cannot silently ship an unbalanced ledger.
+        Accounting is verified on the way out so a lifecycle bug cannot
+        silently ship an unbalanced ledger.
         """
         if self._closed:
             return

@@ -469,11 +469,11 @@ class RemoteRuntime(Runtime):
 
     The sends/merges of every protocol stay serial on the coordinator (the
     runtime contract), so the only difference from the in-process
-    executors is *where* the fan-out tasks run: task arguments pickle out
-    to a site agent over TCP and results pickle back, in task order, with the
-    generator round-tripping of :meth:`~repro.engine.runtime.Runtime
-    .map_sites` working unchanged.  Outputs are therefore bit-identical to
-    every other executor (the pinned PR 5 contract).
+    :class:`~repro.engine.runtime.Runtime` is *where* the fan-out tasks
+    run: task arguments pickle out to a site agent over TCP and results
+    pickle back, in task order, with the generator round-tripping of
+    :meth:`~repro.engine.runtime.Runtime.map_sites` working unchanged.
+    Outputs are therefore bit-identical to an in-process run.
     """
 
     def __init__(
@@ -483,7 +483,7 @@ class RemoteRuntime(Runtime):
         dropout: str = "fail",
         quorum: "QuorumPolicy | tuple | int | None" = None,
     ) -> None:
-        super().__init__("serial", dropout=dropout, quorum=quorum)
+        super().__init__(dropout=dropout, quorum=quorum)
         self._transport = transport
 
     def map(self, fn: Callable[..., Any], tasks: Sequence[tuple]) -> list[Any]:

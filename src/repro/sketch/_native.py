@@ -2,8 +2,8 @@
 
 Every kernel in :mod:`repro.sketch.kernels` has one implementation, in
 NumPy.  This module stays only because the end-to-end benchmark's host
-stamp (``benchmarks/e2e/run.py``) and the other benchmark scripts import
-:func:`current_backend` to record it.
+stamp (``benchmarks/e2e/run.py``) imports :func:`current_backend` to
+record it.
 """
 
 from __future__ import annotations

@@ -71,9 +71,8 @@ def serialize_deltas(pending: Mapping[str, MergeableSketch]) -> bytes:
 
     Read-only on the sketches — the one definition of the delta-bundle
     byte layout.  :func:`extract_deltas` adds the reset;
-    :class:`repro.engine.streaming.StreamingSession` calls this half on
-    its runtime's workers while it merges the same pending states, and
-    resets them only after the join.
+    :class:`repro.engine.streaming.StreamingSession` calls this half, then
+    merges the same pending states, and resets them only after both.
     """
     return wire.encode_bundle(
         {name: sketch.state_array() for name, sketch in pending.items()}

@@ -1,26 +1,17 @@
-"""Runtime/session lifecycle: atexit pairing and the close state machine.
+"""Session lifecycle: the close state machine.
 
-Pinned as regression tests:
-
-* ``Runtime`` registers its interpreter-shutdown hook exactly once per
-  open period — pool→close cycles must not stack duplicate ``atexit``
-  entries (each would pin the runtime for the life of the process);
-* a closed :class:`StreamingSession` is a real state machine: every
-  mutation raises :class:`SessionClosedError` while the accumulated data
-  stays queryable, ``close`` is idempotent, and queued deltas — including
-  a *dropped* site's — never survive close;
-* close ordering is safe both ways round (session-then-runtime and
-  runtime-then-session).
+Pinned as regression tests: a closed :class:`StreamingSession` is a real
+state machine: every mutation raises :class:`SessionClosedError` while the
+accumulated data stays queryable, ``close`` is idempotent (and runs on a
+``with`` block's exit), and queued deltas — including a *dropped* site's —
+never survive close.
 """
 
 from __future__ import annotations
 
-import atexit
-
 import numpy as np
 import pytest
 
-from repro.engine.runtime import Runtime
 from repro.engine.streaming import SessionClosedError, StreamingSession
 
 N, M = 12, 3
@@ -37,57 +28,6 @@ def _ingest_some(session: StreamingSession, seed: int = 0) -> None:
         low = session.sites[site].row_offset
         rows = rng.integers(low, low + session.sites[site].num_rows, size=5)
         session.ingest(site, rows, rng.integers(-2, 3, size=(5, N)))
-
-
-class _AtexitSpy:
-    """Counts register/unregister calls for one specific callback."""
-
-    def __init__(self, monkeypatch):
-        self.registered: list = []
-        real_register, real_unregister = atexit.register, atexit.unregister
-
-        def register(fn, *args, **kwargs):
-            self.registered.append(fn)
-            return real_register(fn, *args, **kwargs)
-
-        def unregister(fn):
-            while fn in self.registered:
-                self.registered.remove(fn)
-            return real_unregister(fn)
-
-        monkeypatch.setattr(atexit, "register", register)
-        monkeypatch.setattr(atexit, "unregister", unregister)
-
-    def live_hooks_for(self, fn) -> int:
-        return self.registered.count(fn)
-
-
-class TestAtexitPairing:
-    def test_ten_pool_close_cycles_keep_exactly_one_live_hook(
-        self, b, monkeypatch
-    ):
-        spy = _AtexitSpy(monkeypatch)
-        runtime = Runtime("threads", max_workers=2)
-        for _ in range(10):
-            runtime.map(abs, [(-1,), (-2,)])  # creates the pool
-            assert spy.live_hooks_for(runtime.close) == 1
-            with StreamingSession([6, 6], b, seed=3, runtime=runtime) as session:
-                _ingest_some(session)
-                session.sync()
-            runtime.close()
-            assert spy.live_hooks_for(runtime.close) == 0
-        runtime.close()
-        assert spy.live_hooks_for(runtime.close) == 0
-
-    def test_shared_runtime_registers_once(self, b, monkeypatch):
-        spy = _AtexitSpy(monkeypatch)
-        with Runtime("threads", max_workers=2) as runtime:
-            for _ in range(3):
-                with StreamingSession([6, 6], b, seed=3, runtime=runtime) as session:
-                    _ingest_some(session)
-                    session.sync()
-                assert spy.live_hooks_for(runtime.close) == 1
-        assert spy.live_hooks_for(runtime.close) == 0
 
 
 class TestCloseStateMachine:
@@ -126,12 +66,11 @@ class TestCloseStateMachine:
         _ingest_some(session)
         session.close()
         session.close()
-        with Runtime("threads", max_workers=2) as runtime:
-            threaded = StreamingSession([6, 6], b, seed=3, runtime=runtime)
-            _ingest_some(threaded)
-            threaded.sync()
-            threaded.close()
-            threaded.close()
+
+    def test_session_context_manager_closes(self, b):
+        with StreamingSession([6, 6], b, seed=3) as session:
+            assert not session.closed
+        assert session.closed
 
     def test_pending_deltas_do_not_survive_close(self, b):
         session = StreamingSession([6, 6], b, seed=3, refresh="threshold",
@@ -161,28 +100,3 @@ class TestCloseStateMachine:
         assert shipped > 0
         session.close()
         assert session.total_upload_bytes == shipped
-
-
-class TestCloseOrdering:
-    def test_runtime_close_then_session_close(self, b):
-        runtime = Runtime("threads", max_workers=2)
-        session = StreamingSession([6, 6], b, seed=3, runtime=runtime)
-        _ingest_some(session)
-        session.sync()
-        runtime.close()
-        session.close()  # must not raise on the closed runtime
-        assert session.closed
-
-    def test_session_close_then_runtime_close(self, b):
-        with Runtime("threads", max_workers=2) as runtime:
-            for seed in range(3):
-                session = StreamingSession([6, 6], b, seed=seed, runtime=runtime)
-                _ingest_some(session)
-                session.sync()
-                session.close()
-                assert session.closed
-            # The shared runtime still serves a new session afterwards.
-            session = StreamingSession([6, 6], b, seed=3, runtime=runtime)
-            _ingest_some(session)
-            assert session.sync().total_bytes > 0
-        assert runtime._pool is None

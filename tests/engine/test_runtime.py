@@ -1,16 +1,16 @@
-"""Executor invariance + fault policies of the message-passing runtime.
+"""Fan-out semantics, invariance and fault policies of the runtime.
 
 The serial-equivalence guarantee (``engine/runtime.py``) has two halves:
 
-* the **serial** executor is pinned to the historical transcripts by the
-  existing equivalence/determinism suites, which run without a runtime;
-* the **threads** executor, and a runtime that pickles every task
-  function, task and result on its way through ``map`` — the path
-  ``repro.service.transport.RemoteRuntime`` takes to the site processes —
-  must reproduce the serial run bit for bit: identical protocol outputs
-  *and* identical byte/round meters (total, per-label, per-round,
-  per-link, per-site), for every protocol family, at k in {1, 2, 4}.
-  That is what this module pins.
+* the in-process runtime, which runs every task inline on the caller's
+  thread, is pinned to the historical transcripts by the existing
+  equivalence/determinism suites, which run without a runtime;
+* a runtime that pickles every task function, task and result on its way
+  through ``map`` — the path ``repro.service.transport.RemoteRuntime``
+  takes to the site processes — must reproduce the in-process run bit for
+  bit: identical protocol outputs *and* identical byte/round meters
+  (total, per-label, per-round, per-link, per-site), for every protocol
+  family, at k in {1, 2, 4}.  That is what this module pins.
 
 The pickling runtime stands in for a remote site: every task function
 must be importable by name, and every argument and result must survive the
@@ -23,13 +23,15 @@ it draws, and even the pickling runtime cannot tell whether
 ``test_map_sites_restores_generators_that_crossed_a_pickle`` pins that
 restore directly, over two successive draws.
 
-Dropout policies and the streaming session's executor invariance are
-covered at the bottom.
+The semantics of ``map`` / ``map_async`` themselves (task order, errors,
+the caller's thread) come next, and dropout policies and the streaming
+session's invariance are covered at the bottom.
 """
 
 from __future__ import annotations
 
 import pickle
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -102,16 +104,10 @@ class _PicklingRuntime(Runtime):
         return lambda: results
 
 
-@pytest.fixture(scope="module", params=["threads", "pickled"])
+@pytest.fixture(scope="module", params=["pickled"])
 def concurrent_runtime(request):
-    """One runtime per fan-out path for the whole module: a shared thread
-    pool, and the pickling stand-in for a remote site."""
-    if request.param == "threads":
-        runtime = Runtime("threads", max_workers=4)
-    else:
-        runtime = _PicklingRuntime()
-    yield runtime
-    runtime.close()
+    """The pickling stand-in for a remote site, shared by the module."""
+    return _PicklingRuntime()
 
 
 @pytest.fixture(scope="module")
@@ -187,13 +183,53 @@ def test_concurrent_executors_reproduce_serial_tree_transcripts(
     assert_identical(baseline, result)
 
 
-def test_runtime_rejects_unknown_executor_and_policy():
-    with pytest.raises(ValueError):
-        Runtime("gpu")
+def test_runtime_rejects_unknown_dropout_policy():
     with pytest.raises(ValueError):
         Runtime(dropout="retry")
-    with pytest.raises(ValueError):
-        Runtime(max_workers=0)
+
+
+def _echo(value):
+    return value
+
+
+def _fail_on(value, bad):
+    if value == bad:
+        raise KeyError(value)
+    return value
+
+
+def _thread_name(_):
+    return threading.current_thread().name
+
+
+class TestMapSemantics:
+    def test_results_come_back_in_task_order(self):
+        tasks = [(i,) for i in (3, 0, 2, 1)]
+        assert Runtime().map(_echo, tasks) == [3, 0, 2, 1]
+        assert Runtime().map_async(_echo, tasks)() == [3, 0, 2, 1]
+
+    def test_a_task_error_is_raised_at_dispatch_and_the_runtime_survives(self):
+        runtime = Runtime()
+        with pytest.raises(KeyError):
+            runtime.map(_fail_on, [(1, 2), (2, 2), (3, 2)])
+        with pytest.raises(KeyError):
+            runtime.map_async(_fail_on, [(1, 2), (2, 2)])
+        assert runtime.map(_fail_on, [(1, 0), (2, 0)]) == [1, 2]
+
+    def test_map_async_matches_map(self):
+        tasks = [(i,) for i in range(5)]
+        assert Runtime().map_async(_echo, tasks)() == Runtime().map(_echo, tasks)
+
+    def test_no_tasks_give_no_results(self):
+        assert Runtime().map(_echo, []) == []
+        assert Runtime().map_async(_echo, [])() == []
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_every_task_runs_on_the_callers_thread(self, count):
+        caller = threading.current_thread().name
+        tasks = [(i,) for i in range(count)]
+        assert Runtime().map(_thread_name, tasks) == [caller] * count
+        assert Runtime().map_async(_thread_name, tasks)() == [caller] * count
 
 
 def _draw(rng, size):
@@ -220,11 +256,6 @@ def test_map_sites_restores_generators_that_crossed_a_pickle():
     for first, second in zip(*serial[0]):
         assert not np.array_equal(first, second)  # the second draw moved on
     _assert_same_draws(serial, _two_draws(_PicklingRuntime()))
-
-
-def test_threaded_map_sites_advances_generators_like_serial():
-    with Runtime("threads", max_workers=3) as runtime:
-        _assert_same_draws(_two_draws(Runtime()), _two_draws(runtime))
 
 
 def test_estimator_facade_accepts_runtime(binary_pair, concurrent_runtime):
@@ -264,7 +295,7 @@ def test_two_party_report_carries_makespan(binary_pair):
 
 
 def test_as_cluster_carries_runtime_and_conditions(binary_pair):
-    """Scaling out must not silently shed the WAN model or the executor."""
+    """Scaling out must not silently shed the WAN model or the runtime."""
     from repro import MatrixProductEstimator
 
     a, b = binary_pair

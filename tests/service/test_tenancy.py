@@ -443,44 +443,29 @@ class TestLifecycle:
 
 
 class TestSharedRuntime:
-    """Many tenant sessions over one threads runtime: one pool, exact meters."""
+    """Many tenant sessions over one runtime: shared policy, exact meters."""
 
     def test_tenants_share_the_runtime(self, b):
-        with Runtime("threads", max_workers=2) as runtime:
-            with SessionManager(b, seed=7, runtime=runtime) as manager:
-                manager.open_tenant("a", [8, 8])
-                manager.open_tenant("b", [16])
-                assert manager.session("a").runtime is runtime
-                assert manager.session("b").runtime is runtime
-                assert manager.metrics.get("repro_resident_pool_occupancy") is None
-                stream_a, stream_b = batches(1), batches(2, sites=1)
-                for index in range(2):
-                    for site, rows, deltas in stream_a[index]:
-                        manager.ingest("a", site, rows, deltas)
-                    for site, rows, deltas in stream_b[index]:
-                        manager.ingest("b", site, rows, deltas)
-                    manager.run_epoch(force=True)
-                manager.verify_accounting()
-                pool = runtime._pool
-                assert pool is not None
-                manager.close_tenant("a")
-                # Closing one tenant leaves the shared pool to the others.
-                for site, rows, deltas in stream_b[2]:
+        runtime = Runtime(dropout="exclude")
+        with SessionManager(b, seed=7, runtime=runtime) as manager:
+            manager.open_tenant("a", [8, 8])
+            manager.open_tenant("b", [16])
+            assert manager.session("a").runtime is runtime
+            assert manager.session("b").runtime is runtime
+            assert manager.metrics.get("repro_resident_pool_occupancy") is None
+            stream_a, stream_b = batches(1), batches(2, sites=1)
+            for index in range(2):
+                for site, rows, deltas in stream_a[index]:
+                    manager.ingest("a", site, rows, deltas)
+                for site, rows, deltas in stream_b[index]:
                     manager.ingest("b", site, rows, deltas)
                 manager.run_epoch(force=True)
-                manager.verify_accounting()
-                assert runtime._pool is pool
-
-    def test_threads_transcript_matches_serial(self, b):
-        with SessionManager(b, seed=7) as serial:
-            serial.open_tenant("x", [8, 8], seed=11)
-            reference = transcript(serial, "x", batches(9))
-        with Runtime("threads", max_workers=2) as runtime:
-            with SessionManager(b, seed=7, runtime=runtime) as manager:
-                manager.open_tenant("other", [16])
-                manager.open_tenant("x", [8, 8], seed=11)
-                result = transcript(manager, "x", batches(9))
-        assert result == reference
+            manager.verify_accounting()
+            manager.close_tenant("a")
+            for site, rows, deltas in stream_b[2]:
+                manager.ingest("b", site, rows, deltas)
+            manager.run_epoch(force=True)
+            manager.verify_accounting()
 
 
 class TestManyTenants:

@@ -65,6 +65,9 @@ REMOVED = [
         ("repro.service", "RemoteTreeNetwork"),
         ("repro.engine.runtime", "ResidentPool"),
         ("repro.engine.runtime", "WorkerCrashedError"),
+        # The threads executor, its width default and its selection.
+        ("repro.engine.runtime", "_default_workers"),
+        ("repro.engine.runtime", "EXECUTORS"),
         ("repro.comm.conditions", "simulate_makespan"),
         # The compiled kernel backend and its selection API.
         ("repro.sketch._native", "active"),
@@ -84,6 +87,7 @@ REMOVED = [
         (Runtime, "resident_pool_count"),
         (Runtime, "adopt_arena"),
         (Runtime, "release_arena"),
+        (Runtime, "close"),
         (LinearStateMixin, "pin_state_buffer"),
         (LinearStateMixin, "unpin_state_buffer"),
         (CountSketch, "pin_table_buffer"),
@@ -94,15 +98,17 @@ REMOVED = [
         (LinkModel, "transfer_seconds"),
     )
 ] + [
-    pytest.param(partial(Runtime, "processes"), ValueError, id="Runtime-processes"),
+    pytest.param(partial(Runtime, "processes"), TypeError, id="Runtime-processes"),
     pytest.param(partial(Runtime, persistent=True), TypeError, id="Runtime-persistent"),
+    pytest.param(partial(Runtime, "threads"), TypeError, id="Runtime-threads"),
+    pytest.param(partial(Runtime, max_workers=2), TypeError, id="Runtime-max_workers"),
 ]
 
 
 @pytest.mark.parametrize("action, error", REMOVED)
 def test_removed_surface_stays_removed(action, error):
     """Deleted modules fail to import, deleted names and methods fail to
-    resolve, and the processes executor and the persistent keyword are
+    resolve, and the retired executor arguments and keywords are
     rejected."""
     with pytest.raises(error):
         action()
