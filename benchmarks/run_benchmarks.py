@@ -1,11 +1,9 @@
 #!/usr/bin/env python
 """Machine-readable benchmark runner: sketch-kernel microbenches + trajectory.
 
-With ``--runtime`` it additionally benchmarks the message-passing runtime's
-executors (serial vs threads) on k-site ingest and query
-wall-clock and appends the record to a second trajectory
-(``benchmarks/BENCH_runtime.json``) — the executors are bit-identical in
-output, so these numbers are pure wall-clock comparisons.
+With ``--runtime`` it additionally benchmarks the message-passing runtime
+on k-site ingest, query and streamed-epoch wall-clock and appends the
+record to a second trajectory (``benchmarks/BENCH_runtime.json``).
 
 With ``--tree`` it benchmarks hierarchical aggregation (ISSUE 10): the same
 per-site upload round drained through :class:`~repro.comm.network
@@ -422,24 +420,19 @@ def bench_streaming_epoch(metrics: dict) -> None:
     }
 
 
-def bench_runtime_executors(metrics: dict) -> None:
-    """Serial vs threads: k-site ingest, query and epoch clock.
+def bench_runtime(metrics: dict) -> None:
+    """The runtime's k-site legs: ingest, query and epoch clock.
 
     *Ingest* is the one-round ``l0_sample`` protocol (every site pushes its
     whole shard through two sketches — the engine's ``update_many`` fan-out);
     *query* is the two-round ``lp_norm(p=2)`` protocol (matmul-heavy per-site
     round 2); *stream epoch* is a full ``StreamingSession`` epoch (ingest
-    every site + close).  Both executors produce bit-identical transcripts
-    (pinned in ``tests/engine/test_runtime.py`` and
-    ``tests/engine/test_runtime_pool.py``), so the only thing that varies
-    here is wall-clock.  Every record carries ``workers`` and
-    ``rows_per_sec_per_worker`` so scaling efficiency is first-class;
-    speedups are recorded relative to serial — on single-core hosts they
-    hover around 1x, which the run record states honestly via its top-level
-    ``cpu_count`` field.
+    every site + close).  The per-site work runs inline on the calling
+    thread.  The ``/serial`` suffix keeps the metric names the committed
+    trajectory holds, so the regression gate finds its baselines.
     """
-    from repro.engine import Runtime, StreamingSession
     from repro import ClusterEstimator
+    from repro.engine import StreamingSession
 
     k = 4
     rows = 512 if SMOKE else 4096
@@ -448,55 +441,43 @@ def bench_runtime_executors(metrics: dict) -> None:
     rng = np.random.default_rng(11)
     a = rng.integers(0, 3, size=(rows, inner)).astype(np.int64)
     b = rng.integers(0, 3, size=(inner, inner)).astype(np.int64)
+    # cpu_count is recorded on the run record, NOT in this config: the
+    # regression gate only compares same-config metrics, and a host
+    # property in the config would silently retire the gate on any machine
+    # unlike the baseline's.
+    config = {"rows": rows, "inner": inner, "sites": k}
 
     legs = {
         "ingest_l0_sample": lambda cluster: cluster.l0_sample(0.3),
         "query_lp2": lambda cluster: cluster.lp_norm(2.0, 0.3),
     }
-    for executor in ("serial", "threads"):
-        runtime = Runtime(executor, max_workers=k)
-        workers = 1 if executor == "serial" else k
-        cluster = ClusterEstimator.from_matrix(a, b, k, seed=11, runtime=runtime)
-        for leg, query in legs.items():
-            seconds = timed(lambda q=query, c=cluster: q(c), repeats)
-            # cpu_count is recorded on the run record, NOT in this config:
-            # the regression gate only compares same-config metrics, and a
-            # host property in the config would silently retire the gate on
-            # any machine unlike the baseline's.
-            metrics[f"runtime/{leg}/{executor}"] = {
-                "config": {"rows": rows, "inner": inner, "sites": k},
-                "seconds": seconds,
-                "rows_per_sec": rows / seconds,
-                "workers": workers,
-                "rows_per_sec_per_worker": rows / seconds / workers,
-            }
-        runtime.close()
+    cluster = ClusterEstimator.from_matrix(a, b, k, seed=11)
+    for leg, query in legs.items():
+        seconds = timed(lambda q=query: q(cluster), repeats)
+        metrics[f"runtime/{leg}/serial"] = {
+            "config": config,
+            "seconds": seconds,
+            "rows_per_sec": rows / seconds,
+        }
 
     site_rows = rows // k
     row_starts = [k_i * site_rows for k_i in range(k)]
     batch = rng.integers(-2, 3, size=(site_rows, inner)).astype(np.int64)
-    for executor in ("serial", "threads"):
-        runtime = None if executor == "serial" else Runtime(executor, max_workers=k)
-        workers = 1 if executor == "serial" else k
-        session = StreamingSession([site_rows] * k, b, seed=11, runtime=runtime)
+    session = StreamingSession([site_rows] * k, b, seed=11)
 
-        def one_epoch():
-            for site, start in enumerate(row_starts):
-                session.ingest(site, start + np.arange(site_rows), batch)
-            session.end_epoch()
+    def one_epoch():
+        for site, start in enumerate(row_starts):
+            session.ingest(site, start + np.arange(site_rows), batch)
+        session.end_epoch()
 
-        one_epoch()  # warm (the thread pool starts here)
-        seconds = timed(one_epoch, repeats)
-        metrics[f"runtime/stream_epoch/{executor}"] = {
-            "config": {"rows": rows, "inner": inner, "sites": k},
-            "seconds": seconds,
-            "rows_per_sec": rows / seconds,
-            "workers": workers,
-            "rows_per_sec_per_worker": rows / seconds / workers,
-        }
-        session.close()
-        if runtime is not None:
-            runtime.close()
+    one_epoch()  # warm
+    seconds = timed(one_epoch, repeats)
+    metrics["runtime/stream_epoch/serial"] = {
+        "config": config,
+        "seconds": seconds,
+        "rows_per_sec": rows / seconds,
+    }
+    session.close()
 
 
 def bench_service(metrics: dict) -> None:
@@ -670,24 +651,6 @@ def compute_service_overheads(metrics: dict) -> dict:
     return {}
 
 
-def compute_runtime_speedups(metrics: dict) -> dict:
-    """Speedup over serial per leg, plus per-worker parallel efficiency.
-
-    ``<leg>/<variant>`` is wall-clock speedup vs the serial leg;
-    ``<leg>/<variant>/efficiency`` divides it by the worker count (1.0 =
-    perfect linear scaling; ~1/workers on a single-core host).
-    """
-    speedups = {}
-    for leg in ("ingest_l0_sample", "query_lp2", "stream_epoch"):
-        base = metrics.get(f"runtime/{leg}/serial")
-        record = metrics.get(f"runtime/{leg}/threads")
-        if base and record:
-            speedup = base["seconds"] / record["seconds"]
-            speedups[f"{leg}/threads"] = speedup
-            speedups[f"{leg}/threads/efficiency"] = speedup / record["workers"]
-    return speedups
-
-
 def run_experiment_benches(metrics: dict) -> None:
     """Run the per-experiment pytest benches (assertion-only) and record."""
     bench_dir = Path(__file__).resolve().parent
@@ -800,8 +763,8 @@ def main() -> int:
     parser.add_argument(
         "--runtime",
         action="store_true",
-        help="also run the executor benches (serial/threads), "
-        "tracked in their own trajectory file",
+        help="also run the runtime's k-site ingest, query and epoch "
+        "benches, tracked in their own trajectory file",
     )
     parser.add_argument("--runtime-output", type=Path, default=DEFAULT_RUNTIME_OUTPUT)
     parser.add_argument(
@@ -855,11 +818,9 @@ def main() -> int:
         failures += check_regression(metrics, history.get("runs", []), mode)
 
     runtime_metrics: dict = {}
-    runtime_speedups: dict = {}
     runtime_history: dict = {}
     if args.runtime:
-        bench_runtime_executors(runtime_metrics)
-        runtime_speedups = compute_runtime_speedups(runtime_metrics)
+        bench_runtime(runtime_metrics)
         runtime_history = load_history(args.runtime_output)
         if args.check_regression:
             failures += check_regression(
@@ -892,7 +853,7 @@ def main() -> int:
 
     for table, table_speedups in (
         (metrics, speedups),
-        (runtime_metrics, runtime_speedups),
+        (runtime_metrics, {}),
         (service_metrics, service_speedups),
         (tree_metrics, tree_gains),
     ):
@@ -909,12 +870,7 @@ def main() -> int:
         args.output.write_text(json.dumps(history, indent=1) + "\n")
         print(f"appended {mode} run to {args.output}")
         if args.runtime:
-            from repro.engine.runtime import _default_workers
-            from repro.sketch._native import current_backend
-
-            runtime_record = stamp(runtime_metrics, runtime_speedups)
-            runtime_record["default_workers"] = _default_workers()
-            runtime_record["kernel_backend"] = current_backend()
+            runtime_record = stamp(runtime_metrics, {})
             runtime_history.setdefault("runs", []).append(runtime_record)
             args.runtime_output.write_text(json.dumps(runtime_history, indent=1) + "\n")
             print(f"appended {mode} run to {args.runtime_output}")
