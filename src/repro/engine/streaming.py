@@ -736,19 +736,19 @@ class StreamingSession(EstimatorBase):
             # ``map_async``, not ``map``: it runs on the coordinator under
             # every runtime, while a socket runtime's ``map`` would ship
             # every site's pending sketches out as tasks to encode there.
-            join = runtime.map_async(
+            payloads = runtime.map_async(
                 serialize_deltas, [(uploads[site.name],) for site in shipping]
-            )
+            )()
+            payload_of = {
+                site.name: payload for site, payload in zip(shipping, payloads)
+            }
             # The pending sketches *are* the deltas the wire would carry
             # (the codec round-trips states exactly), so merge them up the
             # tree straight from the states; ``mark_shipped`` resets them
-            # only after the payloads are in hand, below.
+            # below.
             relays = self._ship_aggregated(
                 [site for site in shipping if site.name not in late_now], uploads
             )
-            payload_of = {
-                site.name: payload for site, payload in zip(shipping, join())
-            }
         on_time: list[tuple[_SiteStream, bytes]] = []
         for site in self.sites:
             payload = payload_of.get(site.name)
