@@ -7,14 +7,18 @@ The serial-equivalence guarantee (``engine/runtime.py``) has two halves:
   equivalence/determinism suites, which run without a runtime;
 * a runtime that pickles every task function, task and result on its way
   through ``map`` — the path ``repro.service.transport.RemoteRuntime``
-  takes to the site processes — must reproduce the in-process run bit for
-  bit: identical protocol outputs *and* identical byte/round meters
-  (total, per-label, per-round, per-link, per-site), for every protocol
-  family, at k in {1, 2, 4}.  That is what this module pins.
+  takes to the site processes — and a runtime that runs each fan-out's
+  tasks last site first must reproduce the in-process run bit for bit:
+  identical protocol outputs *and* identical byte/round meters (total,
+  per-label, per-round, per-link, per-site), for every protocol family,
+  at k in {1, 2, 4}.  That is what this module pins.
 
 The pickling runtime stands in for a remote site: every task function
 must be importable by name, and every argument and result must survive the
-round trip unchanged.  The family list includes a ``p != 1`` heavy-hitters
+round trip unchanged.  The reversing runtime stands in for site processes
+that finish in any order: a task that read or wrote another site's state,
+or drew from a generator two sites share, would change the transcript.
+The family list includes a ``p != 1`` heavy-hitters
 run, which fans out over each site's private generator in *two* phases
 (the lp-norm subroutine, then entry sampling).  On this workload the
 entry-sampling rate is 1, so the second phase keeps every entry whatever
@@ -40,6 +44,7 @@ import pytest
 from repro import ClusterEstimator
 from repro.comm import LinkModel, NetworkConditions
 from repro.engine import (
+    QuorumPolicy,
     Runtime,
     SiteDroppedError,
     StarBinaryHeavyHittersProtocol,
@@ -104,10 +109,23 @@ class _PicklingRuntime(Runtime):
         return lambda: results
 
 
-@pytest.fixture(scope="module", params=["pickled"])
+class _ReversedRuntime(Runtime):
+    """Runs each fan-out's tasks last one first, as site processes may
+    finish in any order, and returns the results in task order."""
+
+    def map_async(self, fn, tasks):
+        results = [fn(*task) for task in reversed(list(tasks))][::-1]
+        return lambda: results
+
+
+RUNTIME_VARIANTS = {"pickled": _PicklingRuntime, "reversed": _ReversedRuntime}
+
+
+@pytest.fixture(scope="module", params=sorted(RUNTIME_VARIANTS))
 def concurrent_runtime(request):
-    """The pickling stand-in for a remote site, shared by the module."""
-    return _PicklingRuntime()
+    """One stand-in per way a remote fan-out differs from the in-process
+    one, shared by the module."""
+    return RUNTIME_VARIANTS[request.param]()
 
 
 @pytest.fixture(scope="module")
@@ -258,6 +276,10 @@ def test_map_sites_restores_generators_that_crossed_a_pickle():
     _assert_same_draws(serial, _two_draws(_PicklingRuntime()))
 
 
+def test_map_sites_advances_generators_in_any_task_order():
+    _assert_same_draws(_two_draws(Runtime()), _two_draws(_ReversedRuntime()))
+
+
 def test_estimator_facade_accepts_runtime(binary_pair, concurrent_runtime):
     a, b = binary_pair
     serial = ClusterEstimator.from_matrix(a, b, 4, seed=3).join_size(0.4)
@@ -265,6 +287,51 @@ def test_estimator_facade_accepts_runtime(binary_pair, concurrent_runtime):
         a, b, 4, seed=3, runtime=concurrent_runtime
     ).join_size(0.4)
     assert_identical(serial, concurrent)
+
+
+def _policy_runtime(runtime_type, policy):
+    if policy == "exclude":
+        return runtime_type(dropout="exclude")
+    return runtime_type(dropout="exclude", quorum=QuorumPolicy(f=1))
+
+
+def _policy_conditions(policy):
+    if policy == "exclude":
+        return NetworkConditions(dropped={"site-1"})
+    slow = {"site-2": LinkModel(latency=2.0)}
+    return NetworkConditions(LinkModel(latency=0.01), overrides=slow, deadline=0.5)
+
+
+@pytest.mark.parametrize("policy", ["exclude", "quorum"])
+def test_survivor_runs_reproduce_serial_transcripts(
+    integer_pair, concurrent_runtime, policy
+):
+    """A dropout- or quorum-shrunk fan-out covers only the contributing
+    sites; it must still run the same tasks under every runtime."""
+    a, b = integer_pair
+    left_out = "site-1" if policy == "exclude" else "site-2"
+    contributors = [f"site-{i}" for i in range(4) if f"site-{i}" != left_out]
+    runs = []
+    for runtime_type in (Runtime, type(concurrent_runtime)):
+        cluster = ClusterEstimator.from_matrix(
+            a,
+            b,
+            4,
+            seed=3,
+            runtime=_policy_runtime(runtime_type, policy),
+            conditions=_policy_conditions(policy),
+        )
+        runs.append(
+            [
+                cluster.join_size(0.4),
+                cluster.l0_sample(0.4),
+                cluster.heavy_hitters(0.1, 0.05),
+            ]
+        )
+    for serial, other in zip(*runs):
+        assert serial.details["dropout"]["contributing_sites"] == contributors
+        assert serial.details["dropout"] == other.details["dropout"]
+        assert_identical(serial, other)
 
 
 def test_conditions_never_perturb_the_transcript(binary_pair):
@@ -423,6 +490,49 @@ class TestStreamingExecutorInvariance:
             ours = serial.merged[key].state_array()
             theirs = concurrent.merged[key].state_array()
             assert np.array_equal(ours, theirs)
+
+    def run_epochs(self, runtime=None, *, drop=None):
+        """Three every-epoch boundaries over two sites; ``drop`` names a
+        site partitioned until after the last one, then restored."""
+        rng = np.random.default_rng(99)
+        b = rng.integers(0, 3, size=(4, 3))
+        session = StreamingSession(
+            [12, 12], b, seed=7, runtime=runtime, refresh="every-epoch"
+        )
+        if drop is not None:
+            session.drop_site(drop)
+        for _ in range(3):
+            for site in range(2):
+                rows = rng.integers(12 * site, 12 * site + 12, size=9)
+                session.ingest(site, rows, rng.integers(-4, 5, size=(9, 4)))
+            session.end_epoch()
+        if drop is not None:
+            session.restore_site(drop)
+        session.sync()
+        return session
+
+    def merged_states(self, session):
+        return {
+            key: sketch.state_array().tobytes()
+            for key, sketch in session.merged.items()
+        }
+
+    def test_session_is_bit_identical_to_serial(self, concurrent_runtime):
+        serial = self.run_epochs()
+        other = self.run_epochs(concurrent_runtime)
+        assert [
+            (r.shipped, r.upload_bytes, r.total_bytes) for r in other.history
+        ] == [(r.shipped, r.upload_bytes, r.total_bytes) for r in serial.history]
+        assert other.network.total_bits == serial.network.total_bits
+        assert self.merged_states(other) == self.merged_states(serial)
+        for mine, theirs in zip(other.shards(), serial.shards()):
+            np.testing.assert_array_equal(mine, theirs)
+
+    def test_dropped_site_backlog_ships_after_restore(self, concurrent_runtime):
+        reference = self.merged_states(self.run_epochs())
+        restored = self.run_epochs(concurrent_runtime, drop=1)
+        assert not restored.history[0].shipped["site-1"]
+        assert self.merged_states(restored) == reference
 
 
 class TestStreamingDropout:

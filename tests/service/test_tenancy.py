@@ -467,6 +467,17 @@ class TestSharedRuntime:
             manager.run_epoch(force=True)
             manager.verify_accounting()
 
+    def test_shared_runtime_transcript_matches_the_default(self, b):
+        with SessionManager(b, seed=7) as alone:
+            alone.open_tenant("x", [8, 8], seed=11)
+            reference = transcript(alone, "x", batches(9))
+        runtime = Runtime(dropout="exclude")
+        with SessionManager(b, seed=7, runtime=runtime) as manager:
+            manager.open_tenant("other", [16])
+            manager.open_tenant("x", [8, 8], seed=11)
+            result = transcript(manager, "x", batches(9))
+        assert result == reference
+
 
 class TestManyTenants:
     def test_fifty_tenants_account_exactly(self, b):

@@ -87,7 +87,10 @@ REMOVED = [
         (Runtime, "resident_pool_count"),
         (Runtime, "adopt_arena"),
         (Runtime, "release_arena"),
+        # Its close and context manager: a runtime holds nothing to release.
         (Runtime, "close"),
+        (Runtime, "__enter__"),
+        (Runtime, "__exit__"),
         (LinearStateMixin, "pin_state_buffer"),
         (LinearStateMixin, "unpin_state_buffer"),
         (CountSketch, "pin_table_buffer"),
