@@ -12,6 +12,11 @@ ingest each family's pending state (bytes, dtype and shape, or ``None``),
 the shard, ``pending_updates`` and ``pending_mass``; after every epoch it
 compares the report, every uploaded payload byte for byte and the merged
 summaries.
+``test_boundary_passes_match_the_frozen_raw_row_path`` drives several
+batches per site between boundaries and reads nothing until the boundary,
+so the sites' waiting rows reach the sketches in passes across many sites,
+with the pass budget patched small enough that one boundary takes several
+passes and some sites are sketched alone at ingest.
 """
 
 from __future__ import annotations
@@ -19,15 +24,20 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import streaming
 from repro.engine.streaming import FAMILIES, StreamingSession
 
 ROWS = 6  # rows per site
 B = np.array([[1, 0, 2, 1], [0, 1, 1, 0], [3, 0, 0, 1]], dtype=np.int64)
 DELTA = 2**40  # largest |delta| drawn; keeps every float state below 2^53
 SEED = 28
+#: Rows one boundary pass may hold, patched into the session module; None
+#: keeps the module's own budget.
+PASS_BUDGETS = (3, 8, None)
 
 
 def frozen_ingest(site, rows, deltas):
@@ -162,6 +172,66 @@ def test_ingest_matches_the_frozen_raw_row_path(scenario):
         assert report == frozen.end_epoch(force=force)
         assert live_sent == frozen_sent
         assert_same_sites(live, frozen)
+        assert_same_merged(live, frozen)
+
+
+@st.composite
+def boundary_scenarios(draw):
+    """Up to 8 sites, many batches each per epoch, some sites dropped."""
+    k = draw(st.integers(1, 8))
+    epoch = st.tuples(
+        st.lists(st.tuples(st.integers(0, k - 1), batches()), max_size=16),
+        st.sets(st.integers(0, k - 1), max_size=2),
+    )
+    return (
+        k,
+        draw(st.sampled_from([None, 2])),
+        draw(st.sampled_from(["dense", "hash"])),
+        draw(st.sampled_from(["every-epoch", "threshold"])),
+        draw(st.sampled_from(PASS_BUDGETS)),
+        draw(st.lists(epoch, min_size=1, max_size=3)),
+    )
+
+
+def assert_same_counters(live, frozen):
+    """What ingest updates at once: shards and the raw-row counters."""
+    for site, twin in zip(live.sites, frozen.sites):
+        assert site.shard.tobytes() == twin.shard.tobytes()
+        assert site.pending_updates == twin.pending_updates
+        assert site.pending_mass == twin.pending_mass
+
+
+@settings(max_examples=60, deadline=None)
+@given(boundary_scenarios())
+def test_boundary_passes_match_the_frozen_raw_row_path(scenario):
+    k, tree, sketch_mode, refresh, budget, epochs = scenario
+    with pytest.MonkeyPatch.context() as patch:
+        if budget is not None:
+            patch.setattr(streaming, "_PASS_ROWS", budget, raising=False)
+        live = build(k, tree, sketch_mode, refresh, frozen=False)
+        frozen = build(k, tree, sketch_mode, refresh, frozen=True)
+        live_sent, frozen_sent = record_uploads(live), record_uploads(frozen)
+        for number, (ingests, dropped) in enumerate(epochs, start=1):
+            for session in (live, frozen):
+                for index in sorted(dropped):
+                    session.drop_site(index)
+            for index, (rows, deltas) in ingests:
+                global_rows = live.sites[index].row_offset + np.asarray(rows)
+                for session in (live, frozen):
+                    session.ingest(index, global_rows, np.array(deltas, dtype=np.int64))
+                assert_same_counters(live, frozen)
+            force = number == len(epochs)
+            report = live.end_epoch(force=force)
+            assert report == frozen.end_epoch(force=force)
+            assert live_sent == frozen_sent
+            assert_same_merged(live, frozen)
+            assert_same_sites(live, frozen)
+            for session in (live, frozen):
+                for index in sorted(dropped):
+                    session.restore_site(index)
+        # The dropped sites' backlogs ship on one more sync.
+        assert live.sync() == frozen.sync()
+        assert live_sent == frozen_sent
         assert_same_merged(live, frozen)
 
 
