@@ -610,9 +610,10 @@ class StreamingSession(EstimatorBase):
         target = self.sites[site]
         rows = np.asarray(rows)
         # Fractional row indices are rejected like the deltas below, never
-        # truncated onto a neighbouring row.
+        # truncated onto a neighbouring row; so are complex, string and
+        # object arrays, which the integer test cannot read.
         if not np.issubdtype(rows.dtype, np.integer):
-            if not wire.is_exact_integer_valued(rows):
+            if rows.dtype.kind not in "bf" or not wire.is_exact_integer_valued(rows):
                 raise ValueError("rows must be integer-valued global row indices")
         rows = rows.astype(np.int64, copy=False).reshape(-1)
         deltas = np.asarray(deltas)
@@ -623,7 +624,9 @@ class StreamingSession(EstimatorBase):
         # fractional values are rejected, never truncated.  (Same invariant
         # as the wire codec's float->int downcast.)
         if not np.issubdtype(deltas.dtype, np.integer):
-            if not wire.is_exact_integer_valued(deltas):
+            if deltas.dtype.kind not in "bf" or not wire.is_exact_integer_valued(
+                deltas
+            ):
                 raise ValueError(
                     "turnstile deltas must be integer-valued within the "
                     "float64-exact range 2**53"

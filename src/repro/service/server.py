@@ -349,6 +349,18 @@ class CoordinatorServer:
         give bit-identical estimates and simulated meters.
     host, port:
         Listen address; port 0 picks a free port (see :attr:`address`).
+    runtime:
+        Optional :class:`~repro.engine.runtime.Runtime` for the tenant
+        :class:`~repro.service.tenancy.SessionManager`.  It carries only
+        its dropout and quorum policies to the tenant sessions; every
+        per-site task runs on the calling thread whatever is passed.  The
+        served cluster estimate ignores it and runs on the sockets'
+        runtime.
+    prices, default_quota:
+        The tenant manager's :class:`~repro.service.tenancy.PriceSchedule`
+        and the :class:`~repro.service.tenancy.TenantQuota` of tenants
+        opened without one (defaults: ``PriceSchedule()`` and an unlimited
+        ``reject`` quota).
     deadline:
         The coordinator's one patience knob, in real seconds (default 10):
         per-site reply deadline on every protocol request *and* the bound
@@ -365,6 +377,12 @@ class CoordinatorServer:
         tuple / bare ``f``) threaded into the served runtime: one-shot
         queries under latency conditions answer from the fastest ``n - f``
         responders, with stragglers excluded and renormalized.
+    tree:
+        Optional aggregation tree over the canonical site names
+        ``site-0..k-1``: a :class:`~repro.comm.tree.TreeSpec` or an integer
+        fan-out.  Depth at most 2: each aggregator is a root child and runs
+        as one aggregator agent that fronts its leaves, which register
+        through it.  ``None`` serves the flat star.
     """
 
     def __init__(

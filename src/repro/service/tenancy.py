@@ -58,6 +58,7 @@ from repro.comm.accounting import TenantLedger
 from repro.comm.protocol import ProtocolResult
 from repro.engine.runtime import Runtime
 from repro.engine.streaming import EpochReport, StreamingSession
+from repro.engine.topology import check_finite
 from repro.service.metrics import MetricsRegistry
 
 __all__ = [
@@ -252,7 +253,12 @@ class SessionManager:
         default_quota: TenantQuota | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        self.b = np.asarray(b)
+        b = np.asarray(b)
+        # Refused here, not at the first open_tenant's session.
+        if b.ndim != 2:
+            raise ValueError("b must be a 2-dimensional matrix")
+        check_finite(b, "B")
+        self.b = b
         self.runtime = runtime
         self.seed = int(seed)
         self.metrics = metrics if metrics is not None else MetricsRegistry()

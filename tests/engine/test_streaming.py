@@ -470,6 +470,31 @@ class TestValidation:
         assert session.sites[0].pending_updates == 0
         assert session.sites[0].shard.tobytes() == shard.tobytes()
 
+    @pytest.mark.parametrize(
+        "bad", ["complex-deltas", "string-deltas", "object-deltas", "string-rows"]
+    )
+    def test_ingest_refuses_batches_that_are_not_real_numbers(self, binary_pair, bad):
+        """Complex, string and object batches used to reach NumPy's
+        ``trunc``/``isfinite`` and raise a raw ``TypeError``."""
+        a, b = binary_pair
+        session = ClusterEstimator.from_matrix(a, b, 2, seed=61).stream()
+        m = b.shape[0]
+        rows, deltas = [0], np.ones((1, m), dtype=np.int64)
+        if bad == "complex-deltas":
+            deltas = np.full((1, m), 1 + 1j)
+        elif bad == "string-deltas":
+            deltas = np.full((1, m), "1")
+        elif bad == "object-deltas":
+            deltas = np.array([[1] * m], dtype=object)
+        else:
+            rows = np.array(["0"])
+        match = "rows must be" if bad == "string-rows" else "turnstile deltas must be"
+        shard = session.sites[0].shard.copy()
+        with pytest.raises(ValueError, match=match):
+            session.ingest(0, rows, deltas)
+        assert session.sites[0].pending_updates == 0
+        assert session.sites[0].shard.tobytes() == shard.tobytes()
+
     def test_ingest_accepts_integer_valued_float_rows(self, binary_pair):
         a, b = binary_pair
         deltas = np.ones((2, b.shape[0]), dtype=np.int64)

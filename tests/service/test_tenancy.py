@@ -419,6 +419,20 @@ class TestLifecycle:
         with pytest.raises(RuntimeError, match="closed"):
             manager.run_epoch()
 
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (np.eye(4) * 1j, "real numbers"),
+            (np.full((4, 4), np.nan), "NaN"),
+            (np.ones(3), "2-dimensional"),
+        ],
+        ids=["complex", "nan", "vector"],
+    )
+    def test_a_bad_b_is_refused_when_the_manager_is_built(self, bad, match):
+        """Such a B used to construct and fail only at the first tenant."""
+        with pytest.raises(ValueError, match=match):
+            SessionManager(bad, seed=7)
+
     def test_metrics_reflect_the_tenant_lifecycle(self, b):
         with SessionManager(b, seed=7) as manager:
             manager.open_tenant("a", [8, 8])
