@@ -110,6 +110,11 @@ LATE_DELTA_LABEL = "stream/late-delta"
 #: Fixed order of the monitored sketch families inside a delta bundle.
 FAMILIES = ("ams", "l0", "sampler", "countsketch")
 
+#: Most rows one sketching pass takes, summed over its sites, and the most
+#: rows a site keeps waiting: a site that reaches it is sketched alone at
+#: ingest.  A pass then allocates what one batch of as many rows does.
+_PASS_ROWS = 1 << 10
+
 
 @dataclass
 class EpochReport:
@@ -155,8 +160,48 @@ def _merge_bundle(
         target[key].merge(bundle[key])
 
 
+def _sketch_waiting(sites: "Sequence[_SiteStream]") -> None:
+    """Sketch the sites' waiting rows into their pending states.
+
+    Sites go in order into passes of at most ``_PASS_ROWS`` rows; a site
+    alone may fill one, since it never keeps that many waiting.  A pass
+    concatenates its sites' batches and makes one grouped update per family
+    (``update_groups``), so the randomness is evaluated once per pass
+    instead of once per site and batch.  The sketches are linear, so every
+    state is the one per-batch updates would reach.
+    """
+    waiting = [site for site in sites if site.waiting_rows]
+    while waiting:
+        count, rows = 1, waiting[0].waiting_rows
+        while (
+            count < len(waiting)
+            and rows + waiting[count].waiting_rows <= _PASS_ROWS
+        ):
+            rows += waiting[count].waiting_rows
+            count += 1
+        group, waiting = waiting[:count], waiting[count:]
+        batches = [batch for site in group for batch in site.waiting]
+        indices = np.concatenate([batch_rows for batch_rows, _ in batches])
+        deltas = np.concatenate([batch_deltas for _, batch_deltas in batches])
+        bounds = np.cumsum([0] + [site.waiting_rows for site in group])
+        for key in FAMILIES:
+            group[0]._pending[key].update_groups(
+                indices, deltas, bounds, [site._pending[key] for site in group]
+            )
+        for site in group:
+            site.waiting.clear()
+            site.waiting_rows = 0
+
+
 class _SiteStream:
-    """One site's streaming state: accumulated shard + pending sketch deltas."""
+    """One site's streaming state: shard, pending sketch deltas, waiting rows.
+
+    Ingest updates the shard and the counters at once but keeps each
+    coalesced batch *waiting*; the epoch boundary sketches every site's
+    waiting rows in passes across sites (:func:`_sketch_waiting`).  Reading
+    :attr:`pending` sketches this site's waiting rows first, so every read
+    sees the current state.
+    """
 
     def __init__(
         self,
@@ -172,20 +217,31 @@ class _SiteStream:
         self.row_offset = row_offset
         self.num_rows = num_rows
         self.shard = np.zeros((num_rows, inner_dim), dtype=np.int64)
-        self.pending: dict[str, MergeableSketch] = {
+        self._pending: dict[str, MergeableSketch] = {
             key: sketch.empty_copy() for key, sketch in templates.items()
         }
+        #: Coalesced batches not yet sketched, and their row count.
+        self.waiting: list[tuple[np.ndarray, np.ndarray]] = []
+        self.waiting_rows = 0
         self.pending_updates = 0
         self.pending_mass = 0.0
         self.shipped_mass = 0.0
 
+    @property
+    def pending(self) -> dict[str, MergeableSketch]:
+        """The pending sketch deltas, with every waiting row sketched."""
+        _sketch_waiting([self])
+        return self._pending
+
     def ingest(self, rows: np.ndarray, deltas: np.ndarray) -> None:
-        """Add one validated batch to the shard and the pending sketches.
+        """Add one validated batch to the shard and queue it for sketching.
 
         Repeated rows are summed once, in int64, so the shard and each
         linear sketch see every distinct row once with the same state bytes
         as row by row; a batch without repeats passes in arrival order.
-        ``pending_updates`` and ``pending_mass`` count the raw batch.
+        ``pending_updates`` and ``pending_mass`` count the raw batch.  The
+        batch waits for the epoch boundary unless this site's waiting rows
+        reach ``_PASS_ROWS``; then they are sketched at once.
         """
         self.pending_updates += rows.shape[0]
         # In float64: an int64 sum wraps (1,024 x 4 deltas of 2**53 sum to 0).
@@ -195,8 +251,10 @@ class _SiteStream:
             deltas = bincount_rows(inverse, deltas, distinct.shape[0], exact_int=True)
             rows = distinct
         self.shard[rows - self.row_offset] += deltas
-        for sketch in self.pending.values():
-            sketch.update_many(rows, deltas)
+        self.waiting.append((rows, deltas))
+        self.waiting_rows += rows.shape[0]
+        if self.waiting_rows >= _PASS_ROWS:
+            _sketch_waiting([self])
 
     def should_ship(self, refresh: str, threshold: float, *, force: bool) -> bool:
         if self.pending_updates == 0:
@@ -216,7 +274,7 @@ class _SiteStream:
         .serialize_deltas` (dispatched by ``end_epoch``); the reset waits
         until the coordinator has also merged the same pending states.
         """
-        for sketch in self.pending.values():
+        for sketch in self._pending.values():
             sketch.load_state_array(None)
         self.shipped_mass += self.pending_mass
         self.pending_mass = 0.0
@@ -226,7 +284,9 @@ class _SiteStream:
         """Discard queued (un-shipped) deltas without crediting them as
         shipped — the session-close path, where a dropped site's backlog
         must not survive into the closed session's counters."""
-        for sketch in self.pending.values():
+        self.waiting.clear()
+        self.waiting_rows = 0
+        for sketch in self._pending.values():
             sketch.load_state_array(None)
         self.pending_mass = 0.0
         self.pending_updates = 0
@@ -615,7 +675,8 @@ class StreamingSession(EstimatorBase):
         if not np.issubdtype(rows.dtype, np.integer):
             if rows.dtype.kind not in "bf" or not wire.is_exact_integer_valued(rows):
                 raise ValueError("rows must be integer-valued global row indices")
-        rows = rows.astype(np.int64, copy=False).reshape(-1)
+        # Copied: the batch waits at the site until the epoch boundary.
+        rows = rows.astype(np.int64).reshape(-1)
         deltas = np.asarray(deltas)
         # Every delta — float *or* integer dtype — must be an integer within
         # the float64-exact range +-2**53: the AMS and CountSketch monitor
@@ -690,6 +751,9 @@ class StreamingSession(EstimatorBase):
                 wants_to_ship = False
             decisions.append(wants_to_ship)
 
+        # Every site's waiting rows reach its pending states now, dropped
+        # and held-back sites' included, in passes across sites.
+        _sketch_waiting(self.sites)
         self.epoch += 1
         report = EpochReport(epoch=self.epoch, upload_bytes=self._collected_bytes)
         self._collected_bytes = {}
@@ -750,7 +814,9 @@ class StreamingSession(EstimatorBase):
             # tree straight from the states; ``mark_shipped`` resets them
             # below.
             relays = self._ship_aggregated(
-                [site for site in shipping if site.name not in late_now], uploads
+                [site for site in shipping if site.name not in late_now],
+                uploads,
+                payload_of,
             )
         on_time: list[tuple[_SiteStream, bytes]] = []
         for site in self.sites:
@@ -802,6 +868,7 @@ class StreamingSession(EstimatorBase):
         self,
         on_time: "list[_SiteStream]",
         uploads: dict[str, dict[str, MergeableSketch]],
+        payload_of: dict[str, bytes],
     ) -> list[tuple[str, bytes]]:
         """Merge the on-time delta bundles up the tree in one bottom-up pass.
 
@@ -809,37 +876,42 @@ class StreamingSession(EstimatorBase):
         its children's bundles and encodes the result once; the returned
         ``(aggregator, payload)`` relays, in that order, are what each
         interior edge forwards, so the root's wire ingress is
-        fan-out-many payloads instead of k.  The root merges its own
-        children's bundles — on the flat star, the sites' in site order —
-        into the coordinator's summaries.  Nothing is decoded: the bundles
-        are the states the wire carries, and exact integer states merge to
-        the same bytes in any grouping (a FaultPlan's fractional corruption
-        is summed in the tree's grouping instead).  In robust mode each
-        site's bundle also goes to that site's cumulative slot.
+        fan-out-many payloads instead of k.  An aggregator with one on-time
+        child forwards that child's bundle unchanged, and with it the bytes
+        already encoded from that same bundle object: the site's upload
+        ``payload_of[name]`` (``serialize_deltas(uploads[name])``, a
+        FaultPlan copy included) or the child aggregator's relay.  The root
+        merges its own children's bundles — on the flat star, the sites' in
+        site order — into the coordinator's summaries.  Nothing is decoded:
+        the bundles are the states the wire carries, and exact integer
+        states merge to the same bytes in any grouping (a FaultPlan's
+        fractional corruption is summed in the tree's grouping instead).
+        In robust mode each site's bundle also goes to that site's
+        cumulative slot.
         """
         tree = self.network.tree
         bundles = {site.name: uploads[site.name] for site in on_time}
+        payloads = dict(payload_of)
         if self.site_merged is not None:
             for site in on_time:
                 _merge_bundle(self.site_merged[site.index], bundles[site.name])
         relays: list[tuple[str, bytes]] = []
         # Bottom-up, so a parent sees its child aggregators' merged bundles.
         for agg in tree.bottom_up:
-            parts = [
-                bundles.pop(child)
-                for child in tree.children[agg]
-                if child in bundles
-            ]
-            if not parts:
+            children = [child for child in tree.children[agg] if child in bundles]
+            if not children:
                 continue
-            merged = parts[0]
-            if len(parts) > 1:
+            if len(children) == 1:
+                merged = bundles.pop(children[0])
+                payloads[agg] = payloads[children[0]]
+            else:
                 merged = {
                     key: self.templates[key].empty_copy() for key in FAMILIES
                 }
-                for part in parts:
-                    _merge_bundle(merged, part)
-            relays.append((agg, serialize_deltas(merged)))
+                for child in children:
+                    _merge_bundle(merged, bundles.pop(child))
+                payloads[agg] = serialize_deltas(merged)
+            relays.append((agg, payloads[agg]))
             bundles[agg] = merged
         for child in tree.children[tree.root]:
             if child in bundles:

@@ -114,8 +114,11 @@ class AmsSketch(LinearStateMixin):
             return self.matrix[:, indices]
         return self._sign_hashes.signs(indices)
 
-    def _contribution(self, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
-        return self._batch_signs(indices) @ values
+    def _contributions(self, indices, values, bounds):
+        """One sign block for the whole batch, then one product per group."""
+        signs = self._batch_signs(indices)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            yield signs[:, lo:hi] @ values[lo:hi]
 
     def _randomness_fingerprints(self):
         if self.mode == "dense":

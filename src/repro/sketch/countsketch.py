@@ -26,7 +26,7 @@ that can qualify pay for a median, and its output equals filtering
 from __future__ import annotations
 
 import copy
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -172,6 +172,23 @@ class CountSketch:
         invariant every engine and streaming path maintains.
         """
         indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+        self.update_groups(indices, deltas, (0, indices.shape[0]), (self,))
+
+    def update_groups(
+        self,
+        indices: np.ndarray,
+        deltas: np.ndarray | None,
+        bounds: Sequence[int],
+        targets: Sequence["CountSketch"],
+    ) -> None:
+        """:meth:`update_many` for many clones: rows ``bounds[g]:bounds[g + 1]``
+        of the batch go to ``targets[g]``.
+
+        The batch is hashed once; each target's table gains exactly what
+        ``update_many`` over its own rows would add.  ``targets`` are clones
+        of this sketch (:meth:`empty_copy`).
+        """
+        indices = np.asarray(indices, dtype=np.int64).reshape(-1)
         if deltas is None:
             deltas = np.ones(indices.shape[0])
         else:
@@ -186,16 +203,18 @@ class CountSketch:
             # A no-op payload must not switch the table's counter shape.
             return
         buckets, signs = self._hash_pair(indices)
-        if deltas.ndim == 2:
-            self._require_vector_table(deltas.shape[1])
-            scatter_add_vector(self.table, buckets, signs, deltas)
-            return
-        if self.table.ndim != 2:
-            raise ValueError(
-                "this table holds vector-valued counters; deltas must be "
-                "matrix-shaped (len(indices), value_dim), not scalars"
-            )
-        scatter_add_scalar(self.table, buckets, signs, deltas)
+        for target, lo, hi in zip(targets, bounds[:-1], bounds[1:]):
+            if deltas.ndim == 2:
+                target._require_vector_table(deltas.shape[1])
+                scatter = scatter_add_vector
+            elif target.table.ndim != 2:
+                raise ValueError(
+                    "this table holds vector-valued counters; deltas must be "
+                    "matrix-shaped (len(indices), value_dim), not scalars"
+                )
+            else:
+                scatter = scatter_add_scalar
+            scatter(target.table, buckets[:, lo:hi], signs[:, lo:hi], deltas[lo:hi])
 
     def _require_vector_table(self, value_dim: int) -> None:
         """Widen an untouched scalar table to vector-valued counters."""

@@ -56,7 +56,7 @@ geometric) and feeds them to the fused scatter.  The ``l_0``-sampler has
 no buckets: its level ``g`` is the plain sum over every coordinate with
 ``c_j > g``, so a batch's update is a product of the 0/1 alive indicator
 ``(level < c_j)`` with the batch, which :func:`exact_matmul` computes
-(see :meth:`repro.sketch.l0_sampler.L0Sampler._contribution`).
+(see :meth:`repro.sketch.l0_sampler.L0Sampler._contributions`).
 
 **Exact integer products** (:func:`exact_matmul`).  NumPy's int64 ``@``
 does not use BLAS, but the protocols' exact products fit float64: if

@@ -190,15 +190,17 @@ class L0Sampler(LinearStateMixin):
         return matrix.reshape(self.num_rows, self.n)
 
     # ------------------------------------------------------------------ api
-    def _contribution(self, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """``T[:, indices] @ values`` without ``T``, as two indicator products.
+    def _contributions(self, indices, values, bounds):
+        """``T[:, group] @ values[group]`` without ``T``: indicator products.
 
         ``indicator[(rep, level), t]`` is 1 iff ``level < counts[rep, t]``.
         ``indicator @ [values | (indices + 1) * values]`` gives the ``s0``
         and ``s1`` rows, ``(indicator * coeffs) @ values`` the fingerprints.
         :func:`~repro.sketch.kernels.exact_matmul` is exact on its float
         route and wraps mod ``2^64`` on its int64 route, like the dense
-        matmul.  Long batches are summed in blocks of ``_INDICATOR_BLOCK``.
+        matmul.  The randomness runs once for the batch; the indicator is
+        built in blocks of at most ``_INDICATOR_BLOCK`` entries, and each
+        group sums its slice of every block it meets.
         """
         counts, coeffs = self._batch_randomness(indices)
         dtype = np.int64 if np.issubdtype(values.dtype, np.integer) else np.float64
@@ -208,23 +210,35 @@ class L0Sampler(LinearStateMixin):
         shifted = (indices + 1)[:, None] * columns  # +1 keeps s1 != 0 for j = 0
         paired = np.concatenate([columns, shifted], axis=1)
         level = np.arange(self.levels)[:, None]
-        out = np.zeros((self.repetitions * self.levels, 3, width), dtype=dtype)
-        step = max(1, _INDICATOR_BLOCK // (self.repetitions * self.levels))
+        cells = self.repetitions * self.levels
+        outs = [
+            np.zeros((cells, 3, width), dtype=dtype) for _ in range(len(bounds) - 1)
+        ]
+        step = max(1, _INDICATOR_BLOCK // cells)
         for start in range(0, batch, step):
-            block = slice(start, start + step)
-            alive = level < counts[:, None, block]  # (reps, levels, block)
-            indicator = alive.view(np.uint8).reshape(out.shape[0], -1)
-            weighted = (alive * coeffs[:, None, block]).reshape(indicator.shape)
-            out[:, :2] += exact_matmul(indicator, paired[block]).reshape(-1, 2, width)
-            out[:, 2] += exact_matmul(weighted, columns[block])
-        return out.reshape((self.num_rows,) + values.shape[1:])
+            stop = min(start + step, batch)
+            alive = level < counts[:, None, start:stop]  # (reps, levels, block)
+            indicator = alive.view(np.uint8).reshape(cells, -1)
+            weighted = (alive * coeffs[:, None, start:stop]).reshape(indicator.shape)
+            for out, lo, hi in zip(outs, bounds[:-1], bounds[1:]):
+                lo, hi = max(lo, start), min(hi, stop)
+                if lo >= hi:
+                    continue  # no row of this group in the block
+                part = slice(lo - start, hi - start)
+                out[:, :2] += exact_matmul(
+                    indicator[:, part], paired[lo:hi]
+                ).reshape(-1, 2, width)
+                out[:, 2] += exact_matmul(weighted[:, part], columns[lo:hi])
+        for out in outs:
+            yield out.reshape((self.num_rows,) + values.shape[1:])
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Compute the sampler sketch ``T x`` (integer inputs expected)."""
         x = np.asarray(x)
         if np.issubdtype(x.dtype, np.integer):
             x = x.astype(np.int64)
-        return self._contribution(np.arange(self.n, dtype=np.int64), x)
+        keys = np.arange(self.n, dtype=np.int64)
+        return next(self._contributions(keys, x, (0, self.n)))
 
     def sample(self, sketched: np.ndarray) -> L0SampleOutcome:
         """Recover a uniform non-zero coordinate from the sketch ``T x``.

@@ -181,12 +181,15 @@ class L0Sketch(LinearStateMixin):
         return matrix
 
     # ------------------------------------------------------------------ api
-    def _contribution(self, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Fused scatter of one batch: ``S[:, indices] @ values`` without ``S``.
+    def _contributions(self, indices, values, bounds):
+        """Fused scatters ``S[:, group] @ values[group]`` without ``S``.
 
-        Exact (order-independent) for integer values within the
-        float64-exact ``2^53`` range; integer inputs keep the historical
-        int64 state dtype.
+        The randomness and the level expansion run once for the batch; the
+        expanded cells stay in batch order, so each group's cells are one
+        slice, scattered into that group's own state.  Exact
+        (order-independent) for integer values within the float64-exact
+        ``2^53`` range; integer inputs keep the historical int64 state
+        dtype.
         """
         counts, buckets, coefficients = self._coordinate_randomness(indices)
         take, level = expand_levels(counts)
@@ -196,14 +199,16 @@ class L0Sketch(LinearStateMixin):
             weights = coefficients[take] * values[take]
         else:
             weights = coefficients[take, None] * values[take]
-        return bincount_rows(rows, weights, self.num_rows, exact_int=exact)
+        edges = np.concatenate(([0], np.cumsum(counts)))[np.asarray(bounds)]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            yield bincount_rows(rows[lo:hi], weights[lo:hi], self.num_rows, exact_int=exact)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Compute ``S x``; inputs should be integer-valued for exactness."""
         x = np.asarray(x)
         if np.issubdtype(x.dtype, np.integer):
             x = x.astype(np.int64)
-        return self._contribution(np.arange(self.n), x)
+        return next(self._contributions(np.arange(self.n), x, (0, self.n)))
 
     def estimate_state_l0(self) -> float:
         """Estimate ``||x||_0`` from the accumulated (possibly merged) state."""

@@ -25,6 +25,14 @@ A conforming sketch exposes:
     table takes scalar deltas by default and switches to vector-valued
     counters when fed matrix-shaped values (one row-vector per index).
 
+``update_groups(indices, values, bounds, targets)`` (the streaming families)
+    The same update for many clones in one pass: rows
+    ``bounds[g]:bounds[g + 1]`` of the concatenated batch go to
+    ``targets[g]``, a clone of this sketch (:meth:`empty_copy`).  The
+    randomness is evaluated once for the whole batch, and each target gains
+    exactly what ``update_many`` over its own rows would add.
+    ``update_many`` is the one-group case.
+
 ``merge(other)``
     Entrywise combination of two states built with identical randomness
     (enforced: merging sketches drawn from different generators raises).
@@ -44,7 +52,7 @@ A conforming sketch exposes:
 from __future__ import annotations
 
 import copy
-from typing import Protocol, runtime_checkable
+from typing import Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -128,10 +136,11 @@ class LinearStateMixin:
     so its trailing shape can adapt to the input.
 
     How the image is computed is a host hook: matrix-backed hosts keep the
-    historical dense gather+matmul (:meth:`_contribution`'s default), while
-    the kernel-based hosts (AMS in hash mode, the ``l_0`` machinery)
-    scatter each batch through :mod:`repro.sketch.kernels` without ever
-    materializing ``S``.  Likewise the randomness-identity check behind
+    historical dense gather+matmul (:meth:`_contribution`'s default, imaged
+    group by group), while the kernel-based hosts (AMS, the ``l_0``
+    machinery) override :meth:`_contributions`: they evaluate the
+    randomness once per batch, scatter through :mod:`repro.sketch.kernels`
+    without ever materializing ``S``, and split the image per group.  Likewise the randomness-identity check behind
     ``merge`` compares whatever arrays actually determine the host's
     randomness (:meth:`_randomness_fingerprints`), dense matrix or hash
     coefficients alike.
@@ -144,6 +153,17 @@ class LinearStateMixin:
         """The partial image ``S[:, indices] @ values`` of one batch."""
         return self.matrix[:, indices] @ values
 
+    def _contributions(
+        self, indices: np.ndarray, values: np.ndarray, bounds: Sequence[int]
+    ) -> Iterator[np.ndarray]:
+        """The partial image of each group ``bounds[g]:bounds[g + 1]``.
+
+        The default images the groups one by one; hosts whose randomness
+        costs a fixed amount per call evaluate it once for the whole batch.
+        """
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            yield self._contribution(indices[lo:hi], values[lo:hi])
+
     def _randomness_fingerprints(self):
         """(name, array) pairs that must match for two sketches to merge."""
         return [("sketch matrices", self.matrix)]
@@ -152,6 +172,20 @@ class LinearStateMixin:
     def update_many(self, indices: np.ndarray, values: np.ndarray) -> None:
         """Add ``values[t]`` at coordinate ``indices[t]``, batched."""
         indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+        self.update_groups(indices, values, (0, indices.shape[0]), (self,))
+
+    def update_groups(
+        self,
+        indices: np.ndarray,
+        values: np.ndarray,
+        bounds: Sequence[int],
+        targets: Sequence["LinearStateMixin"],
+    ) -> None:
+        """Add rows ``bounds[g]:bounds[g + 1]`` of the batch into ``targets[g]``.
+
+        ``targets`` are clones of this sketch; see the module docstring.
+        """
+        indices = np.asarray(indices, dtype=np.int64).reshape(-1)
         values = np.asarray(values)
         if values.shape[0] != indices.shape[0]:
             raise ValueError(
@@ -159,16 +193,18 @@ class LinearStateMixin:
                 f"{indices.shape[0]} indices"
             )
         check_coordinate_range(indices, self.n)
-        contribution = self._contribution(indices, values)
-        if self.state is None:
-            self.state = contribution
-        elif self.state.shape != contribution.shape:
-            raise ValueError(
-                f"update of shape {contribution.shape} does not match "
-                f"accumulated state of shape {self.state.shape}"
-            )
-        else:
-            self.state = self.state + contribution
+        for target, contribution in zip(
+            targets, self._contributions(indices, values, bounds)
+        ):
+            if target.state is None:
+                target.state = contribution
+            elif target.state.shape != contribution.shape:
+                raise ValueError(
+                    f"update of shape {contribution.shape} does not match "
+                    f"accumulated state of shape {target.state.shape}"
+                )
+            else:
+                target.state = target.state + contribution
 
     def merge(self, other):
         """Entrywise-combine ``other``'s state into this sketch; returns self."""

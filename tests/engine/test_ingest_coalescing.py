@@ -235,27 +235,129 @@ def test_boundary_passes_match_the_frozen_raw_row_path(scenario):
         assert_same_merged(live, frozen)
 
 
-def test_sketches_see_each_row_once_and_counters_the_raw_batch():
-    session = build(1, None, "hash", "every-epoch", frozen=False)
-    site = session.sites[0]
-    seen: list[tuple[str, list[int]]] = []
-    for family, sketch in site.pending.items():
-        update = sketch.update_many
+def spy_on_grouped_updates(session, monkeypatch):
+    """Every grouped family update: (family, rows, bounds, targets)."""
+    calls: list[tuple[str, list[int], list[int], list]] = []
+    for family, template in session.templates.items():
+        cls = type(template)
+        grouped = cls.update_groups
 
-        def spy(rows, deltas, family=family, update=update):
-            seen.append((family, rows.tolist()))
-            return update(rows, deltas)
+        def spy(self, rows, deltas, bounds, targets, family=family, grouped=grouped):
+            calls.append((family, rows.tolist(), list(bounds), list(targets)))
+            return grouped(self, rows, deltas, bounds, targets)
 
-        sketch.update_many = spy
+        monkeypatch.setattr(cls, "update_groups", spy)
+    return calls
+
+
+def test_sketches_see_each_row_once_and_counters_the_raw_batch(monkeypatch):
+    """Ingest sketches nothing; the boundary makes one call per family
+    over every site's waiting rows, each distinct row once, each site's
+    rows aimed at its own pending state."""
+    session = build(3, None, "hash", "every-epoch", frozen=False)
+    calls = spy_on_grouped_updates(session, monkeypatch)
+    first, _, third = session.sites
     repeated = np.array([[1, -2, 3], [4, 0, 0], [-1, 2, -3], [2, 2, 2], [0, 5, 0]])
     session.ingest(0, [5, 2, 5, 1, 2], repeated)
     session.ingest(0, [4, 0, 3], np.ones((3, 3), dtype=np.int64))
-    assert seen == [(family, [1, 2, 5]) for family in FAMILIES] + [
-        (family, [4, 0, 3]) for family in FAMILIES
-    ]
-    assert site.pending_updates == 8
-    assert site.pending_mass == float(np.abs(repeated).sum() + 9)
-    expected = np.zeros_like(site.shard)
+    session.ingest(2, [13, 12], np.full((2, 3), 7, dtype=np.int64))
+    assert calls == []
+    assert first.pending_updates == 8
+    assert first.pending_mass == float(np.abs(repeated).sum() + 9)
+    expected = np.zeros_like(first.shard)
     np.add.at(expected, [5, 2, 5, 1, 2], repeated)
     expected[[4, 0, 3]] += 1
-    assert site.shard.tobytes() == expected.tobytes()
+    assert first.shard.tobytes() == expected.tobytes()
+    session.end_epoch()
+    assert [call[:3] for call in calls] == [
+        (family, [1, 2, 5, 4, 0, 3, 13, 12], [0, 6, 8]) for family in FAMILIES
+    ]
+    for family, _, _, targets in calls:
+        assert targets[0] is first._pending[family]
+        assert targets[1] is third._pending[family]
+    # Nothing waits, so a quiet boundary sketches nothing.
+    calls.clear()
+    session.end_epoch()
+    assert calls == []
+
+
+def test_a_read_of_pending_sketches_that_site_first(monkeypatch):
+    session = build(2, None, "dense", "every-epoch", frozen=False)
+    calls = spy_on_grouped_updates(session, monkeypatch)
+    session.ingest(0, [1, 3], np.ones((2, 3), dtype=np.int64))
+    session.ingest(1, [7], np.ones((1, 3), dtype=np.int64))
+    pending = session.sites[1].pending
+    assert [call[:3] for call in calls] == [
+        (family, [7], [0, 1]) for family in FAMILIES
+    ]
+    assert pending["ams"].state_array() is not None
+    assert session.sites[1].waiting_rows == 0
+    assert session.sites[0].waiting_rows == 2
+
+
+def test_waiting_rows_stay_within_the_budget_without_boundaries():
+    """A threshold=inf session never ships between syncs, and a throttled
+    tenant's session sees no boundary at all: ingest alone bounds what
+    waits, and a batch at or above the budget is sketched at once."""
+    budget = streaming._PASS_ROWS
+    rows_per_site = 2 * budget
+    b = np.eye(3, dtype=np.int64)
+    sessions = [
+        StreamingSession(
+            [rows_per_site] * 2, b, seed=5, refresh="threshold", threshold=np.inf,
+            sketch_mode="hash", monitor_epsilon=0.5, hh_depth=3, hh_width=8,
+            sampler_repetitions=3,
+        )
+        for _ in range(2)
+    ]
+    live, frozen = sessions
+    for site in frozen.sites:
+        site.ingest = functools.partial(frozen_ingest, site)
+    rng = np.random.default_rng(9)
+    sizes = [300, 17, 700, 5, budget, 1, budget // 2, budget // 2, 3] * 3
+    for size in sizes:
+        index = int(rng.integers(0, 2))
+        rows = index * rows_per_site + rng.permutation(rows_per_site)[:size]
+        deltas = rng.integers(-5, 6, size=(size, 3))
+        for session in sessions:
+            session.ingest(index, rows, deltas)
+        for site in live.sites:
+            assert site.waiting_rows < budget
+        if size >= budget:
+            assert live.sites[index].waiting_rows == 0
+    assert not any(live.end_epoch().shipped.values())
+    assert [site.waiting_rows for site in live.sites] == [0, 0]
+    frozen.end_epoch()
+    assert_same_sites(live, frozen)
+    assert live.sync() == frozen.sync()
+    assert_same_merged(live, frozen)
+
+
+def test_every_boundary_sketches_every_site_and_close_discards(monkeypatch):
+    session = build(3, 2, "hash", "threshold", frozen=False)
+    session.drop_site(1)
+    for index in range(3):
+        session.ingest(index, [6 * index, 6 * index + 2], np.ones((2, 3), dtype=np.int64))
+    report = session.end_epoch()
+    assert report.dropped == ["site-1"]
+    assert [site.waiting_rows for site in session.sites] == [0, 0, 0]
+    assert session.sites[1].pending_updates == 2
+    session.ingest(1, [8], np.ones((1, 3), dtype=np.int64))
+    calls = spy_on_grouped_updates(session, monkeypatch)
+    session.close()
+    site = session.sites[1]
+    assert (site.waiting_rows, site.pending_updates, calls) == (0, 0, [])
+    assert all(sketch.state_array() is None for key, sketch in site.pending.items()
+               if key != "countsketch")
+
+
+def test_a_waiting_batch_is_a_copy_of_the_callers_arrays():
+    live = build(1, None, "hash", "every-epoch", frozen=False)
+    frozen = build(1, None, "hash", "every-epoch", frozen=True)
+    rows, deltas = np.array([1, 4], dtype=np.int64), np.ones((2, 3), dtype=np.int64)
+    for session in (live, frozen):
+        session.ingest(0, rows, deltas)
+    rows[:] = 0
+    deltas[:] = 9
+    assert live.end_epoch() == frozen.end_epoch()
+    assert_same_merged(live, frozen)
