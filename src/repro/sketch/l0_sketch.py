@@ -201,7 +201,9 @@ class L0Sketch(LinearStateMixin):
             weights = coefficients[take, None] * values[take]
         edges = np.concatenate(([0], np.cumsum(counts)))[np.asarray(bounds)]
         for lo, hi in zip(edges[:-1], edges[1:]):
-            yield bincount_rows(rows[lo:hi], weights[lo:hi], self.num_rows, exact_int=exact)
+            yield bincount_rows(
+                rows[lo:hi], weights[lo:hi], self.num_rows, exact_int=exact
+            )
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Compute ``S x``; inputs should be integer-valued for exactness."""

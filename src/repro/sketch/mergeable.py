@@ -140,10 +140,11 @@ class LinearStateMixin:
     group by group), while the kernel-based hosts (AMS, the ``l_0``
     machinery) override :meth:`_contributions`: they evaluate the
     randomness once per batch, scatter through :mod:`repro.sketch.kernels`
-    without ever materializing ``S``, and split the image per group.  Likewise the randomness-identity check behind
-    ``merge`` compares whatever arrays actually determine the host's
-    randomness (:meth:`_randomness_fingerprints`), dense matrix or hash
-    coefficients alike.
+    without ever materializing ``S``, and split the image per group.
+    Likewise the randomness-identity check behind ``merge`` compares
+    whatever arrays actually determine the host's randomness
+    (:meth:`_randomness_fingerprints`), dense matrix or hash coefficients
+    alike.
     """
 
     state: np.ndarray | None = None
