@@ -136,7 +136,7 @@ class LinearStateMixin:
     so its trailing shape can adapt to the input.
 
     How the image is computed is a host hook: matrix-backed hosts keep the
-    historical dense gather+matmul (:meth:`_contribution`'s default, imaged
+    historical dense gather+matmul (:meth:`_contributions`' default, imaged
     group by group), while the kernel-based hosts (AMS, the ``l_0``
     machinery) override :meth:`_contributions`: they evaluate the
     randomness once per batch, scatter through :mod:`repro.sketch.kernels`
@@ -150,20 +150,18 @@ class LinearStateMixin:
     state: np.ndarray | None = None
 
     # ------------------------------------------------------------ host hooks
-    def _contribution(self, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """The partial image ``S[:, indices] @ values`` of one batch."""
-        return self.matrix[:, indices] @ values
-
     def _contributions(
         self, indices: np.ndarray, values: np.ndarray, bounds: Sequence[int]
     ) -> Iterator[np.ndarray]:
-        """The partial image of each group ``bounds[g]:bounds[g + 1]``.
+        """The partial image ``S[:, group] @ values[group]`` of each group
+        ``bounds[g]:bounds[g + 1]``.
 
-        The default images the groups one by one; hosts whose randomness
-        costs a fixed amount per call evaluate it once for the whole batch.
+        The default gathers ``S``'s columns group by group; hosts whose
+        randomness costs a fixed amount per call evaluate it once for the
+        whole batch.
         """
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            yield self._contribution(indices[lo:hi], values[lo:hi])
+            yield self.matrix[:, indices[lo:hi]] @ values[lo:hi]
 
     def _randomness_fingerprints(self):
         """(name, array) pairs that must match for two sketches to merge."""
